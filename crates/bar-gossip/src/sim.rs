@@ -68,7 +68,7 @@ use crate::exchange::{
 };
 use crate::update::{UpdateId, WindowSet};
 use lotus_core::bitset::BitSet;
-use lotus_core::digest::{region_hash, BloomDigest};
+use lotus_core::digest::{region_hash, BloomIndex};
 use lotus_core::faults::{CutStats, Fate, FaultCounters, FaultState};
 use lotus_core::pool::WorkerPool;
 use lotus_core::population::Population;
@@ -389,8 +389,15 @@ pub const ID_WIRE_BYTES: u64 = 8;
 struct DigestState {
     /// The digest knobs in force.
     dcfg: DigestExchangeConfig,
-    /// Scratch bloom filter, rebuilt per advertisement (bloom mode).
-    bloom: BloomDigest,
+    /// Bloom mode's inverted index over the round's live window: every
+    /// advertisement's probes are answered from it, without building the
+    /// advertised filter. Built lazily at the round's first bloom
+    /// exchange.
+    index: BloomIndex,
+    /// The round `index` was built for.
+    indexed: Option<Round>,
+    /// The advertising sender's held masks over the indexed window.
+    held: Vec<u64>,
     /// Ids the initiator requests from the partner this exchange.
     want_initiator: Vec<UpdateId>,
     /// Ids the partner requests from the initiator this exchange.
@@ -414,13 +421,6 @@ struct DigestState {
 /// and the sequential path is what the alloc-guard suite pins as
 /// allocation-free.
 const PLAN_POOL_MIN_ACTIVE: usize = 1 << 14;
-
-/// Pack an update id into the digest key space: `round * 64 + slot`
-/// (slots are capped at 64 per round, so the packing is injective).
-#[inline]
-fn pack_id(round: Round, slot: u32) -> u64 {
-    (round << 6) | u64::from(slot)
-}
 
 fn class_idx(class: NodeClass) -> usize {
     match class {
@@ -513,10 +513,13 @@ impl BarGossipSim {
         // exists. Buffers are capacity-reserved for the full live
         // window, so the steady digest round never reallocates.
         let digest_state = cfg.digest.map(|dcfg| {
-            let live = (cfg.updates_per_round * cfg.update_lifetime) as usize;
+            let lifetime = cfg.update_lifetime as usize;
+            let live = cfg.updates_per_round as usize * lifetime;
             DigestState {
                 dcfg,
-                bloom: BloomDigest::new(dcfg.bits, dcfg.hashes),
+                index: BloomIndex::new(dcfg.bits, dcfg.hashes, lifetime, live),
+                indexed: None,
+                held: Vec::with_capacity(lifetime),
                 want_initiator: Vec::with_capacity(live),
                 want_partner: Vec::with_capacity(live),
                 deliver: Vec::with_capacity(live),
@@ -1524,12 +1527,15 @@ impl BarGossipSim {
     /// request list; leg 2 ships the requested updates
     /// ([`BarGossipSim::digest_deliver`]).
     ///
-    /// * **Bloom mode** — each side advertises a [`BloomDigest`] of its
+    /// * **Bloom mode** — each side advertises a
+    ///   [`BloomDigest`](lotus_core::digest::BloomDigest) of its
     ///   whole window (`bits/8` bytes each way); the other side probes
     ///   for its *own missing* live ids in round/slot order and requests
     ///   the positives (8 bytes per id). No false negatives means every
     ///   id the sender holds and the receiver needs is requested; a
-    ///   false positive wastes one request.
+    ///   false positive wastes one request. The filter is modelled, not
+    ///   built: the round's [`BloomIndex`] answers each probe exactly as
+    ///   it would.
     /// * **Exact mode** — the sides swap one [`region_hash`] per live
     ///   round (8 bytes each way); divergent rounds exchange their raw
     ///   slot masks (8 bytes each way, counted as request bytes) and
@@ -1583,8 +1589,17 @@ impl BarGossipSim {
                 }
             }
         } else {
+            if st.indexed != Some(t) {
+                // Engaged windows advance in lockstep with `full`, so
+                // every exchanging window lies inside its live range.
+                let base = self.full.start();
+                st.index
+                    .rebuild(base, (base..=t).map(|r| self.full.mask(r).unwrap_or(0)));
+                st.indexed = Some(t);
+            }
             Self::bloom_wants(
-                &mut st.bloom,
+                &st.index,
+                &mut st.held,
                 &self.windows[p.index()],
                 &self.windows[v.index()],
                 t,
@@ -1592,14 +1607,15 @@ impl BarGossipSim {
                 &mut want_v,
             );
             Self::bloom_wants(
-                &mut st.bloom,
+                &st.index,
+                &mut st.held,
                 &self.windows[v.index()],
                 &self.windows[p.index()],
                 t,
                 limit,
                 &mut want_p,
             );
-            st.stats.bytes_digests += 2 * st.bloom.size_bytes();
+            st.stats.bytes_digests += 2 * st.index.size_bytes();
             st.stats.bytes_requests += ID_WIRE_BYTES * (want_v.len() + want_p.len()) as u64;
         }
         st.stats.requests += (want_v.len() + want_p.len()) as u64;
@@ -1611,12 +1627,15 @@ impl BarGossipSim {
         self.digest_state = Some(st);
     }
 
-    /// Rebuild `bloom` from `sender`'s window, then fill `want` with the
-    /// live ids `receiver` is missing that probe positive, in round/slot
-    /// order, stopping at `limit`.
+    /// Fill `want` with the live ids `receiver` is missing that probe
+    /// positive in the bloom filter of `sender`'s window, in round/slot
+    /// order, stopping at `limit`. The probes are answered by `index`
+    /// from a copy of the sender's masks in `held`, exactly as the
+    /// advertised filter would answer them.
     // lint: hot-loop
     fn bloom_wants(
-        bloom: &mut BloomDigest,
+        index: &BloomIndex,
+        held: &mut Vec<u64>,
         sender: &WindowSet,
         receiver: &WindowSet,
         t: Round,
@@ -1624,28 +1643,21 @@ impl BarGossipSim {
         want: &mut Vec<UpdateId>,
     ) {
         want.clear();
-        bloom.clear();
+        held.clear();
+        debug_assert!(sender.start() >= index.base() && receiver.start() >= index.base());
+        held.extend((index.base()..=t).map(|r| sender.mask(r).unwrap_or(0)));
         let per_round = receiver.per_round();
-        for r in sender.start()..=t {
-            let mut bits = sender.mask(r).unwrap_or(0);
-            while bits != 0 {
-                let slot = bits.trailing_zeros();
-                bits &= bits - 1;
-                bloom.insert(pack_id(r, slot));
-            }
-        }
+        let slots = u64::MAX >> (64 - per_round);
         for r in receiver.start()..=t {
-            let held = receiver.mask(r).unwrap_or(0);
-            for slot in 0..per_round {
-                if held & (1u64 << slot) != 0 {
-                    continue;
-                }
+            let missing = slots & !receiver.mask(r).unwrap_or(0);
+            let mut hits = index.positives(r, missing, held);
+            while hits != 0 {
                 if want.len() >= limit {
                     return;
                 }
-                if bloom.contains(pack_id(r, slot)) {
-                    want.push(UpdateId { round: r, slot });
-                }
+                let slot = hits.trailing_zeros();
+                hits &= hits - 1;
+                want.push(UpdateId { round: r, slot });
             }
         }
     }

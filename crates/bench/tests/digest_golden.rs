@@ -122,6 +122,58 @@ const X20_CLEAN_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"ove
 const X20_POISON_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"digest_bytes_on_wire":4676056,"digest_bytes_updates":4343808,"digest_fp_rate":0,"digest_requests":5787,"digest_withheld":1545,"evicted_fraction":0,"evictions":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":114.64864864864865,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
 const X20_AUDITED_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"attacker_cut_rate":1,"cut_precision":1,"cut_recall":1,"digest_bytes_on_wire":3857544,"digest_bytes_updates":3613696,"digest_fp_rate":0,"digest_requests":4081,"digest_withheld":552,"evicted_fraction":0,"evictions":0,"false_cut_rate":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":95.37837837837837,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
 
+/// A 64-bit, 3-hash bloom over a 40-id live window: the filter
+/// saturates, so these fixtures carry non-zero `digest_fp_rate` and pin
+/// the false-positive semantics the clean fixtures above cannot see.
+const SATURATED_BLOOM: &[(&str, &str)] = &[("digest_bits", "64"), ("digest_hashes", "3")];
+
+#[test]
+fn x20_saturated_bloom_reports_are_pinned() {
+    // False positives reach the audit stream (each one may strike the
+    // sender) and the rate limit (each one takes a request slot), so a
+    // change in which ids probe positive moves cuts and deliveries, not
+    // only `digest_fp_rate`.
+    type Fixture = (
+        &'static str,
+        &'static [(&'static str, &'static str)],
+        &'static str,
+    );
+    let fixtures: &[Fixture] = &[
+        ("none", &[], X20_SATURATED_CLEAN_JSON),
+        (
+            "poison",
+            &[("poison_rate", "0.3"), ("audit", "0.1"), ("cutoff", "3")],
+            X20_SATURATED_AUDITED_JSON,
+        ),
+        ("poison", &[("rate_limit", "3")], X20_SATURATED_LIMITED_JSON),
+    ];
+    let reg = ScenarioRegistry::standard();
+    for (attack, extra, expected) in fixtures {
+        let mut p = Params::new();
+        for (k, v) in X20_PARAMS.iter().chain(SATURATED_BLOOM).chain(extra.iter()) {
+            p.set(*k, *v);
+        }
+        let req = RunRequest::new(0.25, 1, attack, "fraction", &p);
+        let report = reg
+            .run("bar-gossip-digest", &req)
+            .unwrap_or_else(|e| panic!("bar-gossip-digest {attack}: {e}"));
+        let fp = report.metric("digest_fp_rate").unwrap();
+        assert!(
+            fp > 0.0,
+            "{attack} {extra:?}: the 64-bit bloom must saturate"
+        );
+        assert_eq!(
+            &report.to_json(),
+            expected,
+            "bar-gossip-digest {attack} {extra:?}: saturated X20 report drifted"
+        );
+    }
+}
+
+const X20_SATURATED_CLEAN_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":1,"targeted_service":0,"usable":true,"attacker_coverage":0,"digest_bytes_on_wire":4506960,"digest_bytes_updates":4432896,"digest_fp_rate":0.3836845102505695,"digest_requests":7024,"digest_withheld":0,"evicted_fraction":0,"evictions":0,"isolated_delivery":1,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":86.58,"min_node_delivery":1,"nodes_ever_unusable":0,"satiated_delivery":0,"unusable_node_rounds":0}"#;
+const X20_SATURATED_AUDITED_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":0.8351351351351352,"targeted_service":0,"usable":false,"attacker_coverage":0,"attacker_cut_rate":0.7692307692307693,"cut_precision":0.3225806451612903,"cut_recall":0.7692307692307693,"digest_bytes_on_wire":2822872,"digest_bytes_updates":2777088,"digest_fp_rate":0.35258831370806487,"digest_requests":4501,"digest_withheld":202,"evicted_fraction":0,"evictions":0,"false_cut_rate":0.5675675675675675,"isolated_delivery":0.8351351351351352,"junk_fraction":0,"mean_attacker_upload":36.38461538461539,"mean_honest_upload":60.513513513513516,"min_node_delivery":0.275,"nodes_ever_unusable":0.40540540540540543,"satiated_delivery":0,"unusable_node_rounds":0.2}"#;
+const X20_SATURATED_LIMITED_JSON: &str = r#"{"scenario":"bar-gossip-digest","rounds":25,"overall_delivery":0.972972972972973,"targeted_service":0,"usable":true,"attacker_coverage":0,"digest_bytes_on_wire":3407808,"digest_bytes_updates":3343360,"digest_fp_rate":0.2219168670559945,"digest_requests":5822,"digest_withheld":1265,"evicted_fraction":0,"evictions":0,"isolated_delivery":0.972972972972973,"junk_fraction":0,"mean_attacker_upload":0,"mean_honest_upload":88.24324324324324,"min_node_delivery":0.775,"nodes_ever_unusable":0.40540540540540543,"satiated_delivery":0,"unusable_node_rounds":0.08108108108108109}"#;
+
 #[test]
 fn digest_sweeps_are_bit_identical_across_worker_counts() {
     // Fold an X20-shaped poison_rate sweep with 1 worker and with 8:

@@ -24,6 +24,12 @@
 //!   raw masks only for regions that differ: zero false positives, so
 //!   an audit of undelivered ids has perfect precision.
 //!
+//! A simulator that needs many advertisements of one live window does
+//! not have to build a filter per advertisement: [`BloomIndex`] inverts
+//! the window's probe positions once and then answers
+//! [`BloomDigest::contains`] for any held subset exactly, at the cost of
+//! the probes alone.
+//!
 //! Hashing is deterministic splitmix ([`netsim::rng::split_mix64`])
 //! with fixed internal seeds — the same ids produce the same digest on
 //! every machine and thread count, which the determinism gate relies
@@ -41,9 +47,8 @@ const REGION_SEED: u64 = 0x7265_6769_6f6e_5f68; // "region_h"
 
 /// A fixed-size bloom filter over packed `u64` update ids.
 ///
-/// Double hashing (Kirsch–Mitzenmacher): two splitmix streams `h1`,
-/// `h2 | 1` generate the `k` probe positions `h1 + i·h2 mod m`, so a
-/// probe costs two mixes regardless of `hashes`. Membership never
+/// Each key sets or tests its [`bloom_positions`], so a probe costs two
+/// splitmix mixes regardless of `hashes`. Membership never
 /// false-negatives; [`BloomDigest::expected_fp_rate`] estimates the
 /// false-positive rate from the realized fill ratio.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -90,7 +95,7 @@ impl BloomDigest {
 
     /// Size of this digest on the wire, in bytes.
     pub fn size_bytes(&self) -> u64 {
-        u64::from(self.bits).div_ceil(8)
+        filter_bytes(self.bits)
     }
 
     /// Reset to empty without releasing the word storage.
@@ -99,21 +104,17 @@ impl BloomDigest {
         self.inserted = 0;
     }
 
-    /// The two probe-stream bases for `key`.
+    /// The bit positions this digest probes for `key`.
     #[inline]
-    fn probe_bases(key: u64) -> (u64, u64) {
-        let h1 = split_mix64(key ^ BLOOM_SEED_A);
-        let h2 = split_mix64(key ^ BLOOM_SEED_B) | 1;
-        (h1, h2)
+    pub fn positions(&self, key: u64) -> BloomPositions {
+        bloom_positions(self.bits, self.hashes, key)
     }
 
     /// Insert a packed update id.
     // lint: hot-loop
     #[inline]
     pub fn insert(&mut self, key: u64) {
-        let (h1, h2) = Self::probe_bases(key);
-        for i in 0..u64::from(self.hashes) {
-            let bit = (h1.wrapping_add(i.wrapping_mul(h2)) % u64::from(self.bits)) as usize;
+        for bit in self.positions(key) {
             self.words[bit / 64] |= 1u64 << (bit % 64);
         }
         self.inserted += 1;
@@ -125,14 +126,8 @@ impl BloomDigest {
     // lint: hot-loop
     #[inline]
     pub fn contains(&self, key: u64) -> bool {
-        let (h1, h2) = Self::probe_bases(key);
-        for i in 0..u64::from(self.hashes) {
-            let bit = (h1.wrapping_add(i.wrapping_mul(h2)) % u64::from(self.bits)) as usize;
-            if self.words[bit / 64] & (1u64 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        self.positions(key)
+            .all(|bit| self.words[bit / 64] & (1u64 << (bit % 64)) != 0)
     }
 
     /// Fraction of filter bits currently set.
@@ -148,6 +143,236 @@ impl BloomDigest {
     /// `fill_ratio ^ hashes`.
     pub fn expected_fp_rate(&self) -> f64 {
         self.fill_ratio().powi(self.hashes as i32)
+    }
+}
+
+/// Wire size of a `bits`-bit filter, in bytes.
+fn filter_bytes(bits: u32) -> u64 {
+    u64::from(bits).div_ceil(8)
+}
+
+/// The `hashes` bit positions a `bits`-bit bloom filter probes for
+/// `key` — the one definition of the hash, shared by [`BloomDigest`]
+/// and [`BloomIndex`].
+///
+/// Double hashing (Kirsch–Mitzenmacher): two splitmix streams `h1` and
+/// `h2 | 1` give position `i` as `h1 + i·h2 mod bits`. Positions may
+/// repeat for one key.
+#[inline]
+pub fn bloom_positions(bits: u32, hashes: u32, key: u64) -> BloomPositions {
+    BloomPositions {
+        h1: split_mix64(key ^ BLOOM_SEED_A),
+        h2: split_mix64(key ^ BLOOM_SEED_B) | 1,
+        i: 0,
+        hashes: u64::from(hashes),
+        bits: u64::from(bits),
+    }
+}
+
+/// Iterator over one key's probe positions ([`bloom_positions`]).
+#[derive(Clone, Debug)]
+pub struct BloomPositions {
+    h1: u64,
+    h2: u64,
+    i: u64,
+    hashes: u64,
+    bits: u64,
+}
+
+impl Iterator for BloomPositions {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.i == self.hashes {
+            return None;
+        }
+        let bit = self.h1.wrapping_add(self.i.wrapping_mul(self.h2)) % self.bits;
+        self.i += 1;
+        Some(bit as usize)
+    }
+}
+
+/// An inverted bloom index over one live window of packed ids
+/// (`region * 64 + slot`): it answers [`BloomDigest::contains`] for a
+/// filter built from *any* held subset of the window, without building
+/// the filter.
+///
+/// Built once per window ([`BloomIndex::rebuild`]), it holds every live
+/// id's probe positions sorted by bit, and for each `(id, probe i)` the
+/// range of live ids whose probes share that bit. A filter built from a
+/// held set `S` contains `key` exactly when `S` holds `key` (no false
+/// negatives) or every probe bit of `key` is shared by some id `S`
+/// holds ([`BloomIndex::contains`]). A probe therefore costs at most
+/// `hashes` short range scans, independent of how many ids `S` holds.
+/// An id with a *private* bit, one no other live id sets, is positive
+/// only if held, so [`BloomIndex::positives`] settles held ids and
+/// unheld private ones a whole region at a time and scans only the
+/// rest. Memory is O(live ids × hashes) and independent of the filter
+/// width.
+#[derive(Clone, Debug)]
+pub struct BloomIndex {
+    bits: u32,
+    hashes: u32,
+    /// First region of the indexed window.
+    base: u64,
+    /// Live slot mask per region, from `base`.
+    live: Vec<u64>,
+    /// Live ids in the regions before each region: the rank of its
+    /// first live slot.
+    before: Vec<u32>,
+    /// Per region, the live ids with a *private* probe bit that no other
+    /// live id sets: such an id probes positive only if it is held.
+    private: Vec<u64>,
+    /// Window position `(region - base) * 64 + slot` of each live id,
+    /// by rank.
+    at: Vec<u32>,
+    /// `bit << 32 | (rank * hashes + i)` per probe, sorted by bit.
+    pairs: Vec<u64>,
+    /// Window position of each sorted probe's id: ids sharing a bit sit
+    /// in one contiguous range.
+    members: Vec<u32>,
+    /// Per `rank * hashes + i`: the `members` range sharing that probe's
+    /// bit.
+    spans: Vec<(u32, u32)>,
+}
+
+impl BloomIndex {
+    /// An empty index for `bits`-bit, `hashes`-probe filters, with
+    /// capacity for windows of up to `regions` regions and `ids` live
+    /// ids, so rebuilding within those bounds never allocates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` or `hashes` is zero.
+    pub fn new(bits: u32, hashes: u32, regions: usize, ids: usize) -> Self {
+        assert!(bits > 0, "bloom index wants at least one bit");
+        assert!(hashes > 0, "bloom index wants at least one hash");
+        let probes = ids * hashes as usize;
+        BloomIndex {
+            bits,
+            hashes,
+            base: 0,
+            live: Vec::with_capacity(regions),
+            before: Vec::with_capacity(regions),
+            private: Vec::with_capacity(regions),
+            at: Vec::with_capacity(ids),
+            pairs: Vec::with_capacity(probes),
+            members: Vec::with_capacity(probes),
+            spans: Vec::with_capacity(probes),
+        }
+    }
+
+    /// First region of the indexed window.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Wire size of the filter this index answers for, in bytes.
+    pub fn size_bytes(&self) -> u64 {
+        filter_bytes(self.bits)
+    }
+
+    /// Index the window whose region `base + j` has live slot mask
+    /// `live[j]`.
+    // lint: hot-loop
+    pub fn rebuild(&mut self, base: u64, live: impl IntoIterator<Item = u64>) {
+        self.base = base;
+        self.live.clear();
+        self.before.clear();
+        self.private.clear();
+        self.at.clear();
+        self.pairs.clear();
+        let k = self.hashes;
+        let mut rank = 0u32;
+        for (off, mask) in live.into_iter().enumerate() {
+            self.live.push(mask);
+            self.before.push(rank);
+            self.private.push(0);
+            let mut rest = mask;
+            while rest != 0 {
+                let slot = rest.trailing_zeros();
+                rest &= rest - 1;
+                self.at.push(((off as u32) << 6) | slot);
+                let key = ((base + off as u64) << 6) | u64::from(slot);
+                for (i, bit) in bloom_positions(self.bits, k, key).enumerate() {
+                    self.pairs
+                        .push(((bit as u64) << 32) | u64::from(rank * k + i as u32));
+                }
+                rank += 1;
+            }
+        }
+        // Window positions and probe numbers are packed into `u32`s.
+        assert!(
+            self.live.len() < 1 << 26 && self.pairs.len() <= u32::MAX as usize,
+            "window too large to index"
+        );
+        self.pairs.sort_unstable();
+        self.members.clear();
+        self.spans.clear();
+        self.spans.resize(self.pairs.len(), (0, 0));
+        let mut lo = 0;
+        while lo < self.pairs.len() {
+            let bit = self.pairs[lo] >> 32;
+            let hi = lo + self.pairs[lo..].partition_point(|&p| p >> 32 == bit);
+            for &pair in &self.pairs[lo..hi] {
+                let probe = pair as u32 as usize;
+                self.members.push(self.at[probe / k as usize]);
+                self.spans[probe] = (lo as u32, hi as u32);
+            }
+            let owner = self.members[lo];
+            if self.members[lo..hi].iter().all(|&at| at == owner) {
+                self.private[(owner >> 6) as usize] |= 1u64 << (owner & 63);
+            }
+            lo = hi;
+        }
+    }
+
+    /// Exactly `BloomDigest::contains(key)` on a `bits`-bit,
+    /// `hashes`-probe filter holding the ids of `held`, where `held[j]`
+    /// is the held slot mask of region `base + j`.
+    ///
+    /// `key` must be a live id of the indexed window, `held` must cover
+    /// every indexed region, and it must hold only live ids (an id
+    /// outside the window sets filter bits the index cannot see).
+    #[inline]
+    pub fn contains(&self, key: u64, held: &[u64]) -> bool {
+        self.positives(key >> 6, 1u64 << (key & 63), held) != 0
+    }
+
+    /// The slots of `candidates`, live slots of `region`, whose ids
+    /// [`BloomIndex::contains`] answers `true` for. Word-parallel for
+    /// held ids (always positive) and for unheld ids with a private bit
+    /// (always negative); one probe per id for the rest.
+    // lint: hot-loop
+    #[inline]
+    pub fn positives(&self, region: u64, candidates: u64, held: &[u64]) -> u64 {
+        let off = (region - self.base) as usize;
+        let live = self.live[off];
+        debug_assert!(
+            candidates & !live == 0,
+            "region {region}: candidates {candidates:#x} not live"
+        );
+        let mut hits = candidates & held[off];
+        let mut rest = candidates & !held[off] & !self.private[off];
+        while rest != 0 {
+            let slot = rest.trailing_zeros();
+            rest &= rest - 1;
+            let rank = self.before[off] + (live & ((1u64 << slot) - 1)).count_ones();
+            let first = rank as usize * self.hashes as usize;
+            let covered =
+                self.spans[first..first + self.hashes as usize]
+                    .iter()
+                    .all(|&(lo, hi)| {
+                        self.members[lo as usize..hi as usize]
+                            .iter()
+                            .any(|&at| held[(at >> 6) as usize] & (1u64 << (at & 63)) != 0)
+                    });
+            if covered {
+                hits |= 1u64 << slot;
+            }
+        }
+        hits
     }
 }
 
@@ -222,6 +447,32 @@ mod tests {
             assert!(d.contains(key));
         }
         assert!(d.fill_ratio() <= 1.0);
+    }
+
+    #[test]
+    fn index_rebuilds_within_its_reserved_capacity() {
+        // A full 10-region x 64-slot window at 16 hashes: the largest
+        // window the capacity was reserved for must not reallocate.
+        let mut index = BloomIndex::new(64, 16, 10, 640);
+        let caps = |ix: &BloomIndex| {
+            [
+                ix.live.capacity(),
+                ix.before.capacity(),
+                ix.private.capacity(),
+                ix.at.capacity(),
+                ix.pairs.capacity(),
+                ix.members.capacity(),
+                ix.spans.capacity(),
+            ]
+        };
+        let reserved = caps(&index);
+        for base in [0, 1 << 30, 7] {
+            index.rebuild(base, [u64::MAX; 10]);
+            assert_eq!(caps(&index), reserved);
+            assert_eq!(index.members.len(), 640 * 16);
+        }
+        let held = [u64::MAX; 10];
+        assert!(index.contains((7 << 6) | 3, &held));
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //!   summary hash ([`region_hash`](digest::region_hash)), the two
 //!   summaries a digest-first gossip round trades before transferring
 //!   only the diff — the surface the advertise-then-withhold attack
-//!   poisons;
+//!   poisons — plus an inverted index that answers the filter's probes
+//!   for any held subset of one live window without building it
+//!   ([`BloomIndex`](digest::BloomIndex));
 //! * [`soa`] — the sharded struct-of-arrays activity index
 //!   ([`ShardMap`](soa::ShardMap)): fixed-size shards over the node
 //!   index space with cached activity popcounts, so round loops cost

@@ -15,9 +15,16 @@
 //!   `digest_fp_rate` a meaningful deniability floor for the
 //!   advertise-then-withhold attacker;
 //! * the exact [`region_hash`] variant separates distinct masks and
-//!   regions (zero false positives by construction).
+//!   regions (zero false positives by construction);
+//! * **index equivalence** — [`BloomIndex`] answers every probe (one id
+//!   at a time, or a region's candidates at once) exactly as a
+//!   [`BloomDigest`] built from the same held set, at any width
+//!   (non-multiples of 64 included), probe count, window shape and
+//!   load, saturated filters included; and the exposed
+//!   [`bloom_positions`] are the bits `insert` sets and `contains`
+//!   tests.
 
-use lotus_core::digest::{region_hash, BloomDigest};
+use lotus_core::digest::{bloom_positions, region_hash, BloomDigest, BloomIndex};
 use lotus_core::proptest_lite::{check, Draw};
 
 /// Draw a digest configuration plus a key load.
@@ -116,6 +123,134 @@ fn region_hash_is_exact_on_generated_masks() {
         }
         if region_hash(region, mask) == region_hash(region + 1, mask) {
             return Err("adjacent regions collide".into());
+        }
+        Ok(())
+    });
+}
+
+/// Draw one live window: `(base region, live slot mask per region)`.
+fn draw_window(d: &mut Draw, label: &str) -> (u64, Vec<u64>) {
+    let regions = d.int("regions", 1, 12) as usize;
+    let per_round = d.int("per_round", 1, 64) as u32;
+    let density = d.ratio("live_density");
+    let base = d.int("base_region", 0, 1 << 40) as u64;
+    let mut rng = d.rng(label);
+    let live = (0..regions)
+        .map(|_| {
+            (0..per_round)
+                .filter(|_| rng.chance(density))
+                .fold(0u64, |m, slot| m | (1 << slot))
+        })
+        .collect();
+    (base, live)
+}
+
+#[test]
+fn bloom_index_answers_like_a_filter_built_from_the_held_set() {
+    check("digest::index_equivalence", 300, |d| {
+        let bits = d.int("bits", 64, 4096) as u32;
+        let hashes = d.int("hashes", 1, 16) as u32;
+        // One index rebuilt over two windows: reuse must leave no trace
+        // of the earlier window.
+        let mut index = BloomIndex::new(bits, hashes, 12, 12 * 64);
+        for pass in ["first", "second"] {
+            let (base, live) = draw_window(d, pass);
+            index.rebuild(base, live.iter().copied());
+            if index.base() != base {
+                return Err(format!("{pass}: base {} != {base}", index.base()));
+            }
+            let held_share = d.ratio("held_share");
+            let mut rng = d.rng("held");
+            let held: Vec<u64> = live
+                .iter()
+                .map(|&m| {
+                    (0..64)
+                        .filter(|&slot| m & (1 << slot) != 0 && rng.chance(held_share))
+                        .fold(0u64, |acc, slot| acc | (1 << slot))
+                })
+                .collect();
+            let mut filter = BloomDigest::new(bits, hashes);
+            let ids = |masks: &[u64]| -> Vec<u64> {
+                masks
+                    .iter()
+                    .enumerate()
+                    .flat_map(|(off, &m)| {
+                        (0..64u64)
+                            .filter(move |&slot| m & (1 << slot) != 0)
+                            .map(move |slot| ((base + off as u64) << 6) | slot)
+                    })
+                    .collect()
+            };
+            for key in ids(&held) {
+                filter.insert(key);
+            }
+            for key in ids(&live) {
+                let (want, got) = (filter.contains(key), index.contains(key, &held));
+                if want != got {
+                    return Err(format!(
+                        "{pass}: key {key}: filter says {want}, index says {got} \
+                         (bits={bits} hashes={hashes} fill={:.3})",
+                        filter.fill_ratio()
+                    ));
+                }
+            }
+            // The word-parallel form agrees with the filter on every
+            // region, for the whole live mask and for a random subset.
+            let mut subset = d.rng("subset");
+            for (off, &m) in live.iter().enumerate() {
+                let region = base + off as u64;
+                let want = (0..64u64)
+                    .filter(|&slot| m & (1 << slot) != 0 && filter.contains((region << 6) | slot))
+                    .fold(0u64, |acc, slot| acc | (1 << slot));
+                let some = m & subset.next_u64();
+                let got = index.positives(region, m, &held);
+                let got_some = index.positives(region, some, &held);
+                if got != want || got_some != want & some {
+                    return Err(format!(
+                        "{pass}: region {region}: filter {want:#x}, index {got:#x} \
+                         / {got_some:#x} on subset {some:#x}"
+                    ));
+                }
+            }
+        }
+        Ok(())
+    });
+}
+
+#[test]
+fn exposed_positions_are_what_insert_sets_and_contains_tests() {
+    check("digest::positions_agree", 200, |d| {
+        let (bits, hashes, base, load) = draw_config(d);
+        let mut digest = BloomDigest::new(bits, hashes);
+        let mut set = vec![false; bits as usize];
+        for key in base..base + load as u64 {
+            let positions: Vec<usize> = digest.positions(key).collect();
+            if positions.len() != hashes as usize || positions.iter().any(|&b| b >= bits as usize) {
+                return Err(format!(
+                    "key {key}: positions {positions:?} for {bits}/{hashes}"
+                ));
+            }
+            if !bloom_positions(bits, hashes, key).eq(positions.iter().copied()) {
+                return Err(format!("key {key}: method and free fn disagree"));
+            }
+            for b in positions {
+                set[b] = true;
+            }
+            digest.insert(key);
+        }
+        let ones = set.iter().filter(|&&b| b).count();
+        if (digest.fill_ratio() * f64::from(bits)).round() as usize != ones {
+            return Err(format!(
+                "insert set {} bits, positions say {ones}",
+                digest.fill_ratio() * f64::from(bits)
+            ));
+        }
+        let fresh = base + 1_000_000;
+        for key in fresh..fresh + 500 {
+            let expected = digest.positions(key).all(|b| set[b]);
+            if digest.contains(key) != expected {
+                return Err(format!("key {key}: contains disagrees with its positions"));
+            }
         }
         Ok(())
     });
