@@ -200,7 +200,7 @@ fn plan_phase_at_pool_scale_is_alloc_free() {
 
 #[test]
 fn scrip_multi_shard_steady_step_is_alloc_free() {
-    // The scrip volunteer scan walks active shards above the cutoff.
+    // A wide economy: the scrip volunteer masks span 40 words.
     assert_steady_steps_alloc_free("scrip", "lotus-eater", &[("agents", "2500")]);
 }
 

@@ -6,6 +6,8 @@
 //! counts) is word-parallel, which keeps full parameter sweeps fast enough
 //! to run hundreds of simulations per figure.
 
+use netsim::rng::DetRng;
+
 /// A fixed-universe dynamic bitset.
 ///
 /// The universe size is fixed at construction; all operations between two
@@ -211,6 +213,56 @@ impl BitSet {
         &self.words
     }
 
+    /// The `k`-th element in increasing order (0-based), or `None` if
+    /// the set has `k` or fewer elements. Word-parallel: whole words are
+    /// skipped by popcount.
+    ///
+    /// ```
+    /// use lotus_core::bitset::BitSet;
+    /// let s = BitSet::from_iter_with(200, [3, 70, 130]);
+    /// assert_eq!(s.nth(1), Some(70));
+    /// assert_eq!(s.nth(3), None);
+    /// ```
+    pub fn nth(&self, mut k: usize) -> Option<usize> {
+        for (wi, &w) in self.words.iter().enumerate() {
+            let ones = w.count_ones() as usize;
+            if k < ones {
+                let mut rest = w;
+                for _ in 0..k {
+                    rest &= rest - 1;
+                }
+                return Some(wi * 64 + rest.trailing_zeros() as usize);
+            }
+            k -= ones;
+        }
+        None
+    }
+
+    /// Overwrite `self` with a Bernoulli(`p`) subset of `eligible`: one
+    /// [`DetRng::chance_mask`] draw per element of `eligible`, in
+    /// increasing order — the same outcomes and rng stream as calling
+    /// `rng.chance(p)` per element, word-parallel and without
+    /// allocating.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the universes differ.
+    ///
+    /// ```
+    /// use lotus_core::bitset::BitSet;
+    /// use netsim::rng::DetRng;
+    ///
+    /// let eligible = BitSet::from_iter_with(100, (0..100).step_by(3));
+    /// let mut drawn = BitSet::new(100);
+    /// drawn.sample_from(&eligible, 0.5, &mut DetRng::seed_from(1));
+    /// assert!(drawn.is_subset(&eligible));
+    /// ```
+    #[inline]
+    pub fn sample_from(&mut self, eligible: &BitSet, p: f64, rng: &mut DetRng) {
+        self.check_compat(eligible);
+        rng.chance_mask(p, &eligible.words, &mut self.words);
+    }
+
     /// `true` if `self ⊆ other`.
     pub fn is_subset(&self, other: &BitSet) -> bool {
         self.check_compat(other);
@@ -358,6 +410,27 @@ mod tests {
         let mut a = BitSet::new(10);
         let b = BitSet::new(11);
         a.union_with(&b);
+    }
+
+    #[test]
+    fn nth_walks_elements_in_order() {
+        let s = BitSet::from_iter_with(200, [0, 63, 64, 100, 199]);
+        let all: Vec<usize> = (0..s.len()).filter_map(|k| s.nth(k)).collect();
+        assert_eq!(all, s.iter().collect::<Vec<_>>());
+        assert_eq!(s.nth(5), None);
+        assert_eq!(BitSet::new(10).nth(0), None);
+    }
+
+    #[test]
+    fn sample_from_matches_one_chance_per_element() {
+        let eligible = BitSet::from_iter_with(150, (0..150).filter(|i| i % 7 != 3));
+        let mut drawn = BitSet::full(150); // stale contents must go
+        let mut bulk = DetRng::seed_from(12);
+        let mut serial = bulk.clone();
+        drawn.sample_from(&eligible, 0.35, &mut bulk);
+        let expected: Vec<usize> = eligible.iter().filter(|_| serial.chance(0.35)).collect();
+        assert_eq!(drawn.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(bulk, serial, "same stream position afterwards");
     }
 
     #[test]

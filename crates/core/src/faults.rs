@@ -488,6 +488,24 @@ impl FaultState {
         !(self.partitioned && self.cell.contains(a) != self.cell.contains(b))
     }
 
+    /// Drop from `peers` every node `from` cannot reach this round,
+    /// counting each as one blocked interaction — the word-parallel form
+    /// of a [`FaultState::link_ok`]`(from, i)` walk over `peers` that
+    /// keeps the nodes whose link is up. `from` itself is never dropped
+    /// (it shares its own cell).
+    pub fn retain_reachable(&mut self, from: usize, peers: &mut BitSet) {
+        if !self.partitioned {
+            return;
+        }
+        let before = peers.len();
+        if self.cell.contains(from) {
+            peers.intersect_with(&self.cell);
+        } else {
+            peers.subtract(&self.cell);
+        }
+        self.partition_blocked += (before - peers.len()) as u64;
+    }
+
     /// Count one interaction blocked by the partition — the bookkeeping
     /// half of [`FaultState::link_ok`], for callers that already know
     /// the link is down from a plan-time [`FaultState::link_up`] probe.
@@ -880,6 +898,33 @@ mod tests {
         f.begin_round(15);
         assert!(!f.is_partitioned(), "partition heals after its epoch");
         assert!(f.link_ok(inside, outside));
+    }
+
+    #[test]
+    fn retain_reachable_keeps_and_counts_what_a_link_ok_walk_would() {
+        let plan = FaultPlan::parse("partition:2:10:0.4").unwrap();
+        let mut walk = FaultState::new(90, plan, &DetRng::seed_from(4));
+        let mut mask = walk.clone();
+        let peers = BitSet::from_iter_with(90, (0..90).filter(|i| i % 5 != 1));
+        for t in 0..14 {
+            walk.begin_round(t);
+            mask.begin_round(t);
+            for from in [0, 1, 2, 3, 40, 89] {
+                let kept: Vec<usize> = peers.iter().filter(|&i| walk.link_ok(from, i)).collect();
+                let mut reachable = peers.clone();
+                mask.retain_reachable(from, &mut reachable);
+                assert_eq!(
+                    reachable.iter().collect::<Vec<_>>(),
+                    kept,
+                    "round {t} from {from}"
+                );
+                assert_eq!(mask.partition_blocked, walk.partition_blocked);
+            }
+        }
+        assert!(
+            walk.partition_blocked > 0,
+            "the partition blocked some links"
+        );
     }
 
     #[test]

@@ -12,6 +12,33 @@
 //!    child stream, so adding a consumer of randomness in one subsystem
 //!    cannot perturb another subsystem's stream (a classic source of
 //!    "heisenbugs" in simulation studies).
+//!
+//! # Bulk Bernoulli draws
+//!
+//! [`DetRng::chance_mask`] makes one Bernoulli(`p`) draw per set bit of
+//! an eligibility mask and leaves exactly the stream position — and
+//! the outcomes — of calling [`DetRng::chance`] once per set bit in
+//! ascending order. It is exact, not merely equal in distribution:
+//!
+//! * **Integer threshold.** `f64()` is `(x >> 11)·2⁻⁵³` for the 64-bit
+//!   draw `x`, and both the conversion and the scaling are exact, so
+//!   `f64() < p` ⇔ `(x >> 11) < ceil(p·2⁵³)` as integers.
+//! * **High word first.** `x` is two PCG outputs, high word first, so
+//!   `x >> 11` is `hi·2²¹ + (lo >> 11)`. The high word decides the draw
+//!   unless it equals the threshold's high 32 bits; only on that tie
+//!   (probability 2⁻³²) is the low word's output computed. The state
+//!   still advances two steps per draw either way.
+//! * **Degenerate `p`.** `p ≤ 0` and `p ≥ 1` decide without drawing,
+//!   as `chance` does; a NaN `p` draws and never succeeds, as
+//!   `f64() < NaN` never holds.
+//!
+//! The serial PCG chain is broken with jump-ahead: `k` steps from
+//! state `s` land on `M^k·s + inc·(1 + M + … + M^(k-1))`, so the states
+//! of a chunk of eight draws are eight independent multiply-adds of
+//! the chunk's base state, and the outcomes are gathered branch-free.
+//! They are placed into the mask one run of consecutive eligible bits
+//! at a time, and the generator ends on the state just past the last
+//! draw consumed.
 
 /// SplitMix64 step; used for seeding and for stateless hashing.
 ///
@@ -44,6 +71,48 @@ pub fn mix_label(label: &str) -> u64 {
 }
 
 const PCG_MULT: u64 = 6_364_136_223_846_793_005;
+
+/// The XSH-RR output permutation of the PCG state about to be stepped.
+#[inline]
+fn pcg_output(state: u64) -> u32 {
+    let xorshifted = (((state >> 18) ^ state) >> 27) as u32;
+    let rot = (state >> 59) as u32;
+    xorshifted.rotate_right(rot)
+}
+
+/// Draws decided per jump-ahead chunk in [`DetRng::chance_mask`].
+const LANES: usize = 8;
+
+/// Jump-ahead table for one stream: the state `j` draws (`2j` steps)
+/// past a base state `s` is `mul[j]·s + add[j]`, for `j` in `0..=LANES`.
+struct Jump {
+    mul: [u64; LANES + 1],
+    add: [u64; LANES + 1],
+}
+
+impl Jump {
+    fn new(inc: u64) -> Self {
+        // One draw is two steps: s ↦ M²·s + (M + 1)·inc.
+        let m2 = PCG_MULT.wrapping_mul(PCG_MULT);
+        let a2 = PCG_MULT.wrapping_add(1).wrapping_mul(inc);
+        let mut jump = Jump {
+            mul: [1; LANES + 1],
+            add: [0; LANES + 1],
+        };
+        for j in 0..LANES {
+            jump.mul[j + 1] = m2.wrapping_mul(jump.mul[j]);
+            jump.add[j + 1] = m2.wrapping_mul(jump.add[j]).wrapping_add(a2);
+        }
+        jump
+    }
+
+    #[inline]
+    fn state(&self, base: u64, draws: usize) -> u64 {
+        self.mul[draws]
+            .wrapping_mul(base)
+            .wrapping_add(self.add[draws])
+    }
+}
 
 /// A deterministic PCG-32 pseudorandom generator with labelled forking.
 ///
@@ -111,9 +180,7 @@ impl DetRng {
     pub fn next_u32(&mut self) -> u32 {
         let old = self.state;
         self.step();
-        let xorshifted = (((old >> 18) ^ old) >> 27) as u32;
-        let rot = (old >> 59) as u32;
-        xorshifted.rotate_right(rot)
+        pcg_output(old)
     }
 
     /// Next 64 uniformly distributed bits.
@@ -166,6 +233,107 @@ impl DetRng {
         } else {
             self.f64() < p
         }
+    }
+
+    /// One Bernoulli(`p`) draw per set bit of `eligible`, in ascending
+    /// bit order (word 0 bit 0 first); bit `i` of `out` is set iff bit
+    /// `i` of `eligible` is set and its draw succeeded.
+    ///
+    /// Exactly equivalent to calling [`DetRng::chance`]`(p)` once per set
+    /// bit in that order: the same outcomes and the same final generator
+    /// state (see the module docs for why the shortcut is exact). So
+    /// `p ≤ 0` clears `out` and `p ≥ 1` copies `eligible`, both without
+    /// drawing.
+    ///
+    /// ```
+    /// use netsim::rng::DetRng;
+    ///
+    /// let eligible = [0b1011_0110u64, u64::MAX];
+    /// let mut bulk = DetRng::seed_from(3);
+    /// let mut out = [0u64; 2];
+    /// bulk.chance_mask(0.4, &eligible, &mut out);
+    ///
+    /// let mut serial = DetRng::seed_from(3);
+    /// for i in 0..128 {
+    ///     if eligible[i / 64] >> (i % 64) & 1 == 1 {
+    ///         assert_eq!(serial.chance(0.4), out[i / 64] >> (i % 64) & 1 == 1);
+    ///     }
+    /// }
+    /// assert_eq!(bulk, serial);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `eligible` and `out` differ in length.
+    pub fn chance_mask(&mut self, p: f64, eligible: &[u64], out: &mut [u64]) {
+        assert_eq!(
+            eligible.len(),
+            out.len(),
+            "chance_mask: eligible and out differ in length"
+        );
+        if p <= 0.0 {
+            out.fill(0);
+            return;
+        }
+        if p >= 1.0 {
+            out.copy_from_slice(eligible);
+            return;
+        }
+        // f64() < p ⇔ (x >> 11) < ceil(p·2⁵³); a NaN p casts to 0 (never).
+        let cut = (p * (1u64 << 53) as f64).ceil() as u64;
+        let cut_hi = (cut >> 21) as u32;
+        let cut_lo = (cut & ((1 << 21) - 1)) as u32;
+        let jump = Jump::new(self.inc);
+        let inc = self.inc;
+        // Outcomes of the chunk starting at `base`, one bit per draw.
+        let decide = |base: u64| -> u32 {
+            let mut hits = 0u32;
+            let mut ties = 0u32;
+            for j in 0..LANES {
+                let hi = pcg_output(jump.state(base, j));
+                hits |= u32::from(hi < cut_hi) << j;
+                ties |= u32::from(hi == cut_hi) << j;
+            }
+            while ties != 0 {
+                // High word ties the cut: the low word decides.
+                let j = ties.trailing_zeros() as usize;
+                let lo_state = jump.state(base, j).wrapping_mul(PCG_MULT).wrapping_add(inc);
+                hits |= u32::from(pcg_output(lo_state) >> 11 < cut_lo) << j;
+                ties &= ties - 1;
+            }
+            hits
+        };
+        // Outcomes decided but not yet placed, oldest at bit 0. Each set
+        // run of `eligible` takes the next run-length of them at once.
+        let mut pending = 0u128;
+        let mut pending_len = 0u32;
+        let mut next = self.state; // base state of the next chunk
+        let mut last = next; // base state of the chunk decided last
+        for (o, &e) in out.iter_mut().zip(eligible) {
+            let mut rest = e;
+            let mut word = 0u64;
+            while rest != 0 {
+                let start = rest.trailing_zeros();
+                let len = (!(rest >> start)).trailing_zeros();
+                while pending_len < len {
+                    pending |= u128::from(decide(next)) << pending_len;
+                    pending_len += LANES as u32;
+                    last = next;
+                    next = jump.state(next, LANES);
+                }
+                word |= (pending as u64 & (u64::MAX >> (64 - len))) << start;
+                pending >>= len;
+                pending_len -= len;
+                rest &= rest.wrapping_add(rest & rest.wrapping_neg()); // drop the run
+            }
+            *o = word;
+        }
+        // The last chunk's undrawn tail (fewer than LANES) was never used.
+        self.state = if pending_len == 0 {
+            next
+        } else {
+            jump.state(last, LANES - pending_len as usize)
+        };
     }
 
     /// Fisher–Yates shuffle of `slice` in place.
@@ -341,6 +509,34 @@ mod tests {
         assert!(r.chance(1.0));
         assert!(!r.chance(-1.0));
         assert!(r.chance(2.0));
+    }
+
+    #[test]
+    fn chance_mask_edge_cases_draw_like_chance() {
+        let eligible = [0b1010u64, 0, u64::MAX >> 7];
+        for p in [0.0, -1.0, 1.0, 2.0] {
+            let mut r = DetRng::seed_from(4);
+            let before = r.clone();
+            let mut out = [7u64; 3];
+            r.chance_mask(p, &eligible, &mut out);
+            let expected = if p >= 1.0 { eligible } else { [0; 3] };
+            assert_eq!(out, expected, "p = {p}");
+            assert_eq!(r, before, "p = {p} decides without drawing");
+        }
+        // A NaN p draws (as `chance` does) but never succeeds.
+        let mut bulk = DetRng::seed_from(4);
+        let mut serial = bulk.clone();
+        let mut out = [7u64; 3];
+        bulk.chance_mask(f64::NAN, &eligible, &mut out);
+        let draws = eligible.iter().map(|w| w.count_ones()).sum::<u32>();
+        assert!((0..draws).all(|_| !serial.chance(f64::NAN)));
+        assert_eq!((out, bulk), ([0; 3], serial));
+    }
+
+    #[test]
+    #[should_panic(expected = "differ in length")]
+    fn chance_mask_length_mismatch_panics() {
+        DetRng::seed_from(0).chance_mask(0.5, &[1, 2], &mut [0]);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 //! points per target per round against decay `δ`) and no wall at all.
 //! Faster decay raises his bill but hurts honest agents too.
 
+use lotus_core::bitset::BitSet;
 use lotus_core::satiation::{Feedable, Satiable};
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
@@ -73,12 +74,18 @@ pub enum ReputationConfigError {
     TooFewAgents(u32),
     /// Decay outside `(0, 1]`.
     BadDecay(f64),
-    /// Threshold must be positive.
+    /// Threshold must be positive and finite.
     BadThreshold(f64),
+    /// Initial reputation must be non-negative and finite.
+    BadInitial(f64),
+    /// Access bar must be non-negative and finite.
+    BadAccessBar(f64),
     /// Availability outside `[0, 1]`.
     BadAvailability(f64),
     /// No measured rounds.
     ZeroRounds,
+    /// No requests per round.
+    ZeroRequests,
 }
 
 impl std::fmt::Display for ReputationConfigError {
@@ -89,12 +96,21 @@ impl std::fmt::Display for ReputationConfigError {
             }
             ReputationConfigError::BadDecay(d) => write!(f, "decay {d} outside (0, 1]"),
             ReputationConfigError::BadThreshold(t) => {
-                write!(f, "threshold {t} must be positive")
+                write!(f, "threshold {t} must be positive and finite")
+            }
+            ReputationConfigError::BadInitial(r) => {
+                write!(f, "initial reputation {r} must be non-negative and finite")
+            }
+            ReputationConfigError::BadAccessBar(b) => {
+                write!(f, "access bar {b} must be non-negative and finite")
             }
             ReputationConfigError::BadAvailability(a) => {
                 write!(f, "availability {a} outside [0, 1]")
             }
             ReputationConfigError::ZeroRounds => write!(f, "need at least one measured round"),
+            ReputationConfigError::ZeroRequests => {
+                write!(f, "need at least one request per round")
+            }
         }
     }
 }
@@ -114,14 +130,26 @@ impl ReputationConfig {
         if !(self.decay > 0.0 && self.decay <= 1.0) {
             return Err(ReputationConfigError::BadDecay(self.decay));
         }
-        if self.threshold <= 0.0 {
+        // Written so NaN fails every check: a NaN threshold would make
+        // every `reputation < threshold` test false and silently stop
+        // all service.
+        if !(self.threshold > 0.0 && self.threshold.is_finite()) {
             return Err(ReputationConfigError::BadThreshold(self.threshold));
+        }
+        if !(self.initial >= 0.0 && self.initial.is_finite()) {
+            return Err(ReputationConfigError::BadInitial(self.initial));
+        }
+        if !(self.access_bar >= 0.0 && self.access_bar.is_finite()) {
+            return Err(ReputationConfigError::BadAccessBar(self.access_bar));
         }
         if !(0.0..=1.0).contains(&self.availability) {
             return Err(ReputationConfigError::BadAvailability(self.availability));
         }
-        if self.rounds == 0 || self.requests_per_round == 0 {
+        if self.rounds == 0 {
             return Err(ReputationConfigError::ZeroRounds);
+        }
+        if self.requests_per_round == 0 {
+            return Err(ReputationConfigError::ZeroRequests);
         }
         Ok(())
     }
@@ -194,9 +222,16 @@ pub struct ReputationSim {
     /// Nodes fed by the Observation 3.1 harness: re-topped after decay
     /// each round ("sufficiently rapidly").
     fed: std::collections::BTreeSet<usize>,
-    /// Reused per-request volunteer list (capacity `agents`), so the
-    /// round loop never allocates in steady state.
-    volunteer_scratch: Vec<usize>,
+    /// Agents below their threshold — the ones willing to volunteer.
+    /// Rebuilt after each round's decay and top-ups; within the round a
+    /// served volunteer's bit clears once its reputation reaches the
+    /// threshold (reputation only rises between rebuilds).
+    below: BitSet,
+    /// Every agent: the eligible set of the availability draw, with the
+    /// requester's bit cleared for the duration of its request.
+    peers: BitSet,
+    /// The request's volunteers: available ∧ below threshold.
+    volunteers: BitSet,
 }
 
 impl ReputationSim {
@@ -230,7 +265,9 @@ impl ReputationSim {
             target_samples: 0,
             injected: 0.0,
             fed: std::collections::BTreeSet::new(),
-            volunteer_scratch: Vec::with_capacity(n),
+            below: BitSet::new(n),
+            peers: BitSet::full(n),
+            volunteers: BitSet::new(n),
             cfg,
             attack,
         }
@@ -363,6 +400,13 @@ impl RoundSim for ReputationSim {
             }
         }
 
+        self.below.clear();
+        for (i, &r) in self.reputation.iter().enumerate() {
+            if r < self.cfg.threshold {
+                self.below.insert(i);
+            }
+        }
+
         // The round's requests, served one at a time (reputation earned by
         // an early request can satiate a volunteer out of a later one).
         let mut rng = self.rng.fork_idx("round", t);
@@ -377,19 +421,21 @@ impl RoundSim for ReputationSim {
                 }
                 continue;
             }
-            // Same draw order as the old collect-based filter, into the
-            // persistent scratch buffer (capacity `n`, so no growth).
-            self.volunteer_scratch.clear();
-            for i in 0..n {
-                if i != requester
-                    && rng.chance(self.cfg.availability)
-                    && self.reputation[i] < self.cfg.threshold
-                {
-                    self.volunteer_scratch.push(i);
-                }
-            }
-            if let Some(&p) = rng.choose(&self.volunteer_scratch) {
+            // One availability flip per other agent, ascending — drawn
+            // whatever its reputation — then a uniform pick among the
+            // available agents below threshold.
+            self.peers.remove(requester);
+            self.volunteers
+                .sample_from(&self.peers, self.cfg.availability, &mut rng);
+            self.peers.insert(requester);
+            self.volunteers.intersect_with(&self.below);
+            let count = self.volunteers.len();
+            if count > 0 {
+                let p = self.volunteers.nth(rng.index(count)).expect("count > 0");
                 self.reputation[p] += 1.0; // service earns reputation
+                if self.reputation[p] >= self.cfg.threshold {
+                    self.below.remove(p);
+                }
                 self.served[p] += 1;
                 if measured {
                     self.served_count += 1;
@@ -499,6 +545,44 @@ mod tests {
             assert!(cfg.validate().is_err());
             assert!(!format!("{}", cfg.validate().unwrap_err()).is_empty());
         }
+    }
+
+    #[test]
+    fn validation_rejects_non_finite_and_negative_scores() {
+        let bad = |mutate: fn(&mut ReputationConfig)| {
+            let mut cfg = quick_cfg();
+            mutate(&mut cfg);
+            cfg.validate().unwrap_err()
+        };
+        use ReputationConfigError as E;
+        assert!(matches!(bad(|c| c.threshold = f64::NAN), E::BadThreshold(t) if t.is_nan()));
+        assert_eq!(
+            bad(|c| c.threshold = f64::INFINITY),
+            E::BadThreshold(f64::INFINITY)
+        );
+        assert_eq!(bad(|c| c.initial = -1.0), E::BadInitial(-1.0));
+        assert!(matches!(bad(|c| c.initial = f64::NAN), E::BadInitial(r) if r.is_nan()));
+        assert_eq!(
+            bad(|c| c.initial = f64::INFINITY),
+            E::BadInitial(f64::INFINITY)
+        );
+        assert_eq!(bad(|c| c.access_bar = -0.1), E::BadAccessBar(-0.1));
+        assert!(matches!(bad(|c| c.access_bar = f64::NAN), E::BadAccessBar(b) if b.is_nan()));
+        assert_eq!(
+            bad(|c| c.access_bar = f64::INFINITY),
+            E::BadAccessBar(f64::INFINITY)
+        );
+        assert_eq!(bad(|c| c.rounds = 0), E::ZeroRounds);
+        assert_eq!(bad(|c| c.requests_per_round = 0), E::ZeroRequests);
+        assert_eq!(
+            E::ZeroRequests.to_string(),
+            "need at least one request per round"
+        );
+        // The boundaries themselves stay valid.
+        let mut edge = quick_cfg();
+        edge.initial = 0.0;
+        edge.access_bar = 0.0;
+        assert_eq!(edge.validate(), Ok(()));
     }
 
     #[test]

@@ -22,8 +22,9 @@
 //! # Hot-loop invariants
 //!
 //! The per-round request loop is allocation-free in steady state: the
-//! free/paid volunteer pools are scratch buffers owned by the sim struct,
-//! cleared and refilled in place each round, and the timing layer
+//! eligible and available masks and the free/paid volunteer pools are
+//! scratch buffers owned by the sim struct, cleared and refilled in
+//! place each round, and the timing layer
 //! (`lotus_core::schedule`, `lotus_core::population`) adds no allocations
 //! — threshold-trigger observations come from the running request
 //! counters. Scratch contents are meaningless between rounds, and
@@ -37,7 +38,6 @@ use lotus_core::faults::{Fate, FaultCounters, FaultState};
 use lotus_core::population::Population;
 use lotus_core::satiation::Satiable;
 use lotus_core::schedule::{MetricKey, ScheduleState};
-use lotus_core::soa::ShardMap;
 use netsim::plan::{ExchangePlan, PlannedPair, READY};
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
@@ -55,7 +55,7 @@ pub enum AgentRole {
 // Per-agent state lives in struct-of-arrays layout on the simulator
 // itself (`money`, `threshold`, `served`, and the `altruist`/`special`/
 // `targeted` bitsets), keyed by agent index — the flat layout the
-// sharded volunteer scan iterates.
+// bitmask volunteer scan iterates.
 
 /// Final report of a scrip-economy run.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,12 +155,12 @@ pub struct ScripSim {
     rational_list: Vec<u32>,
     /// Attack-target indices, ascending (targets are fixed at build).
     target_list: Vec<u32>,
-    /// Sharded activity index over agents: active = present ∧ ¬down,
-    /// rebuilt word-parallel each round. The volunteer scan walks this
-    /// instead of `0..n`, so its cost scales with live agents.
-    shards: ShardMap,
-    /// Word-parallel scratch mask for the rebuild above.
-    mask_scratch: BitSet,
+    /// The request's eligible volunteers: present ∧ ¬down, minus the
+    /// requester and every agent the partition cuts it off from.
+    /// Rebuilt word-parallel per request.
+    eligible: BitSet,
+    /// The eligible agents whose availability coin came up this round.
+    available: BitSet,
     attacker_money: u64,
     initial_supply: u64,
     rng: DetRng,
@@ -279,8 +279,8 @@ impl ScripSim {
             free_received: vec![0; n],
             rational_list,
             target_list,
-            shards: ShardMap::new(n),
-            mask_scratch: BitSet::new(n),
+            eligible: BitSet::new(n),
+            available: BitSet::new(n),
             schedule_state,
             attack_active: false,
             population,
@@ -319,11 +319,6 @@ impl ScripSim {
     /// Current threshold of `agent`.
     pub fn threshold(&self, agent: NodeId) -> u32 {
         self.threshold[agent.index()]
-    }
-
-    /// The sharded activity index (this round's snapshot).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.shards
     }
 
     /// The attacker's current war chest.
@@ -414,6 +409,17 @@ impl ScripSim {
             return; // a crashed requester cannot request either
         }
 
+        // Eligible volunteers: the live agents (present ∧ ¬down) other
+        // than the requester that it can reach across the partition, each
+        // cut-off agent counted once as a blocked link. Each eligible
+        // agent then flips its availability coin, in ascending order.
+        self.eligible.copy_from(self.population.present());
+        self.eligible.subtract(self.faults.down_mask());
+        self.eligible.remove(requester);
+        self.faults.retain_reachable(requester, &mut self.eligible);
+        self.available
+            .sample_from(&self.eligible, self.cfg.availability, &mut rng);
+
         // Volunteer pools (reused scratch batches): each viable
         // volunteer is planned against the requester, and the uniform
         // pick below draws only from the pool length — identical draws
@@ -423,20 +429,9 @@ impl ScripSim {
         free.clear();
         paid.clear();
         let requested = NodeId(requester as u32);
-        // Shard walk over present ∧ ¬down agents in ascending index
-        // order — exactly the agents the dense scan let through to the
-        // availability draw (absent and down agents drew nothing under
-        // the `||` short-circuit, and `link_ok`'s partition counter was
-        // only reached past those gates), so the round's rng stream and
-        // the fault counters are unchanged while the scan cost drops to
-        // O(live agents).
-        let availability = self.cfg.availability;
-        self.shards.for_each_active(|i| {
-            if i == requester || !self.faults.link_ok(requester, i) || !rng.chance(availability) {
-                return;
-            }
+        for i in self.available.iter() {
             if special && !self.special.contains(i) {
-                return;
+                continue;
             }
             if self.altruist.contains(i) {
                 free.push(PlannedPair {
@@ -451,7 +446,7 @@ impl ScripSim {
                     flags: READY,
                 });
             }
-        });
+        }
         // The attacker volunteers for ordinary paid requests, undercutting
         // honest providers ("providing cheap service", §1): a rational
         // requester prefers him whenever he bids, which both funds the
@@ -663,12 +658,6 @@ impl RoundSim for ScripSim {
                 self.free_received[i] = 0;
             }
         }
-        // Rebuild the round's activity snapshot: active = present ∧
-        // ¬down, word-parallel. Both the top-up and the volunteer scan
-        // below see exactly the dense filter set.
-        self.mask_scratch.copy_from(self.population.present());
-        self.mask_scratch.subtract(self.faults.down_mask());
-        self.shards.load(&self.mask_scratch);
         let observed = self
             .schedule_state
             .needs_observation()
