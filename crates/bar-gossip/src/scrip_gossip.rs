@@ -31,19 +31,18 @@
 //! order, purchase, presence and seeding-pick lists are scratch buffers
 //! owned by the sim struct, and the ideal-attack pool is a persistent
 //! [`WindowSet`] advanced in lockstep with the node windows (cleared and
-//! re-unioned each round) rather than rebuilt from round 0. The timing
-//! layer (`lotus_core::schedule`, `lotus_core::population`) adds no
-//! allocations. Scratch contents are meaningless between rounds;
-//! refactors here must keep reports bit-identical per seed (the
-//! determinism and schedule-golden tests are the guardrail).
+//! re-unioned each round) rather than rebuilt from round 0. The
+//! environment (`lotus_core::env`) adds no allocations. Scratch contents
+//! are meaningless between rounds; refactors here must keep reports
+//! bit-identical per seed (the determinism and schedule-golden tests are
+//! the guardrail).
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
 use crate::update::WindowSet;
-use lotus_core::bitset::BitSet;
-use lotus_core::faults::{CutStats, Fate, FaultCounters, FaultState};
-use lotus_core::population::Population;
-use lotus_core::schedule::{self, MetricKey, ScheduleState};
+use lotus_core::env::{Env, EnvSpec, Role};
+use lotus_core::faults::{CutStats, Fate, FaultCounters};
+use lotus_core::schedule;
 use netsim::partner::{PartnerSchedule, Protocol};
 use netsim::plan::{ExchangePlan, LINKED, VIABLE};
 use netsim::rng::DetRng;
@@ -142,8 +141,6 @@ struct ScripNode {
     money: u64,
     attacker: bool,
     target: bool,
-    /// Cut by the silence cut-off defense: excluded from all trade.
-    cut: bool,
 }
 
 /// The scrip-gossip simulator.
@@ -181,21 +178,10 @@ pub struct ScripGossipSim {
     purchases_refused: u64,
     purchases_broke: u64,
     served_this_round: Vec<u32>,
-    /// Attack timing stepper; while off, attacker nodes buy and sell
+    /// Churn, faults, attack timing and the silence cut-off (from
+    /// `cfg.base`); while the attack is off, attacker nodes buy and sell
     /// honestly (the cooperate phase).
-    schedule_state: ScheduleState,
-    attack_active: bool,
-    /// Membership under churn (from `cfg.base.churn`).
-    population: Population,
-    /// Fault injection (from `cfg.base.faults`); inert by default.
-    faults: FaultState,
-    /// Masquerade attackers' silence draws; draw-free on a perfect
-    /// network (see `BarGossipSim::masq_rng`).
-    masq_rng: DetRng,
-    /// Distinct silence accusers per node (cut-off defense).
-    accusers: Vec<BitSet>,
-    cut_honest: u32,
-    cut_attacker: u32,
+    env: Env,
     // Scratch buffers for the allocation-free round loop (see module
     // docs); contents are meaningless between rounds.
     /// Reusable exchange-plan batch: partner selection and viability
@@ -245,31 +231,29 @@ impl ScripGossipSim {
                 money: u64::from(cfg.money_per_node),
                 attacker: attacker[i],
                 target: target[i],
-                cut: false,
             })
             .collect();
-        let mut population = Population::new(n as usize, cfg.base.churn, rng.fork("population"));
         // As in BAR Gossip: the flash crowd is honest — attacker nodes
         // churn like anyone but are never held back.
-        for (i, &is_attacker) in attacker.iter().enumerate() {
-            if is_attacker {
-                population.exempt_arrival(i);
+        let spec = EnvSpec {
+            churn: cfg.base.churn,
+            arrival: cfg.base.arrival,
+            faults: cfg.base.faults,
+            schedule: plan.schedule,
+            cutoff: cfg.base.defenses.cutoff_quorum,
+        };
+        let env = Env::new(n as usize, spec, &rng, |i| {
+            if attacker[i] {
+                Role::Attacker
+            } else {
+                Role::Honest
             }
-        }
-        population.set_arrival(cfg.base.arrival);
-        let faults = FaultState::new(n as usize, cfg.base.faults, &rng);
+        });
         ScripGossipSim {
             pool: window.clone(),
             full: window,
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
-            schedule_state: ScheduleState::seeded(plan.schedule, rng.fork("adaptive")),
-            attack_active: false,
-            population,
-            faults,
-            masq_rng: rng.fork("masquerade"),
-            accusers: vec![BitSet::new(n as usize); n as usize],
-            cut_honest: 0,
-            cut_attacker: 0,
+            env,
             served_this_round: vec![0; n as usize],
             plan_batch: ExchangePlan::new(),
             want_scratch: Vec::new(),
@@ -295,66 +279,6 @@ impl ScripGossipSim {
             1
         } else {
             0
-        }
-    }
-
-    /// Canonical-metric observation for metric-threshold schedules,
-    /// computed from the running delivery counters (no allocation).
-    /// `None` until the first measured expiry; presence observes live
-    /// membership from round 0.
-    fn observe(&self, key: MetricKey) -> Option<f64> {
-        if key == MetricKey::PresentFraction {
-            return Some(self.population.present_fraction());
-        }
-        if key == MetricKey::FalseCutRate {
-            self.cfg.base.defenses.cutoff_quorum?;
-            let honest = self.nodes.iter().filter(|n| !n.attacker).count();
-            return Some(if honest == 0 {
-                0.0
-            } else {
-                f64::from(self.cut_honest) / honest as f64
-            });
-        }
-        schedule::class_delivery_observation(&self.delivered, &self.totals, key)
-    }
-
-    /// A node trades only while present, not crashed and not cut.
-    fn alive(&self, i: usize) -> bool {
-        !self.nodes[i].cut && !self.faults.is_down(i) && self.population.is_present(i)
-    }
-
-    /// Masquerade silence draw — see `BarGossipSim::masquerade_silent`.
-    fn masquerade_silent(&mut self, sender: usize) -> bool {
-        if !self.attack_active
-            || self.plan.kind != AttackKind::Masquerade
-            || !self.nodes[sender].attacker
-        {
-            return false;
-        }
-        // Round-aware rate: folds expected partition blocking in while
-        // an epoch is open (see `BarGossipSim::masquerade_silent`).
-        let rate = self.faults.ambient_silence_rate();
-        self.masq_rng.chance(rate)
-    }
-
-    /// Silence strike by `observer` against `partner` — see
-    /// `BarGossipSim::note_silence` for the defense's contract.
-    fn note_silence(&mut self, observer: usize, partner: usize) {
-        let Some(quorum) = self.cfg.base.defenses.cutoff_quorum else {
-            return;
-        };
-        if self.nodes[observer].attacker {
-            return;
-        }
-        let set = &mut self.accusers[partner];
-        set.insert(observer);
-        if set.len() as u32 >= quorum && !self.nodes[partner].cut {
-            self.nodes[partner].cut = true;
-            if self.nodes[partner].attacker {
-                self.cut_attacker += 1;
-            } else {
-                self.cut_honest += 1;
-            }
         }
     }
 
@@ -396,7 +320,7 @@ impl ScripGossipSim {
         present.clear();
         // The broadcaster is reliable infrastructure: seeding skips
         // crashed and cut nodes but is not subject to message faults.
-        present.extend((0..self.nodes.len()).filter(|&i| self.alive(i)));
+        present.extend((0..self.nodes.len()).filter(|&i| self.env.is_live(i)));
         let mut picks = std::mem::take(&mut self.picks_scratch);
         let copies = (self.cfg.base.copies_seeded as usize).min(present.len());
         let mut seed_rng = self.rng.fork_idx("seeding", t);
@@ -415,7 +339,7 @@ impl ScripGossipSim {
     /// Ideal-attack forwarding: every attacker holding reaches every
     /// target instantly (out of band, free).
     fn ideal_forwarding(&mut self) {
-        if self.plan.kind != AttackKind::IdealLotusEater || !self.attack_active {
+        if self.plan.kind != AttackKind::IdealLotusEater || !self.env.attack_active() {
             return;
         }
         // The persistent pool window stays aligned with the live ones;
@@ -442,7 +366,7 @@ impl ScripGossipSim {
         // Covert (masquerade/poison) attackers take the honest path
         // throughout — masquerade defection is the silence draw at the
         // delivery step below; poison is digest-substrate-only.
-        if self.attack_active && !self.plan.kind.covert() && self.nodes[s].attacker {
+        if self.env.attack_active() && !self.plan.kind.covert() && self.nodes[s].attacker {
             // Attacker seller: gift everything, free, to targets only.
             if self.plan.kind == AttackKind::TradeLotusEater && self.nodes[b].target {
                 let mut gift = std::mem::take(&mut self.want_scratch);
@@ -461,7 +385,7 @@ impl ScripGossipSim {
             }
             return;
         }
-        if self.attack_active && self.nodes[b].attacker {
+        if self.env.attack_active() && self.nodes[b].attacker {
             // Trade attackers replenish their stock by buying like anyone
             // else would — but they pay with their own scrip, which the
             // supply bounds. (They start with the same endowment.)
@@ -506,9 +430,11 @@ impl ScripGossipSim {
         // goods, no money moved, supply conserved — and the buyer, who
         // agreed the trade and got silence, files a cut-off strike.
         // Duplicates are idempotent here (no bandwidth meter to junk).
-        let delivered = !self.masquerade_silent(s) && self.faults.fate(s, b) != Fate::Drop;
-        if !delivered {
-            self.note_silence(b, s);
+        let silent = self.plan.kind == AttackKind::Masquerade
+            && self.nodes[s].attacker
+            && self.env.masquerade_silent();
+        if silent || self.env.faults_mut().fate(s, b) == Fate::Drop {
+            self.env.note_silence(b, s);
             self.want_scratch = bought;
             return;
         }
@@ -556,20 +482,8 @@ impl ScripGossipSim {
             refusal_rate: self.purchases_refused as f64 / attempted,
             broke_rate: self.purchases_broke as f64 / attempted,
             total_money: self.total_money(),
-            cuts: self.cfg.base.defenses.cutoff_quorum.map(|_| {
-                let attackers = self.nodes.iter().filter(|n| n.attacker).count() as u32;
-                CutStats {
-                    cut_honest: self.cut_honest,
-                    cut_attacker: self.cut_attacker,
-                    honest: self.nodes.len() as u32 - attackers,
-                    attackers,
-                }
-            }),
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            cuts: self.env.cut_stats(),
+            fault_counters: self.env.fault_counters(),
         }
     }
 }
@@ -578,24 +492,17 @@ impl RoundSim for ScripGossipSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        self.population.begin_round(t);
-        self.faults.begin_round(t);
-        if !self.faults.just_crashed().is_empty() {
-            // State-losing crash: the window empties but the balance
-            // survives (scrip is a ledger, not local state), keeping the
-            // supply invariant intact under fault injection.
-            let crashed = self.faults.just_crashed();
-            for (i, node) in self.nodes.iter_mut().enumerate() {
-                if crashed.contains(i) {
-                    node.window.clear();
-                }
-            }
+        // State-losing crash: the window empties but the balance
+        // survives (scrip is a ledger, not local state), keeping the
+        // supply invariant intact under fault injection.
+        for i in self.env.begin_round(t).iter() {
+            self.nodes[i].window.clear();
         }
-        let observed = self
-            .schedule_state
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        self.attack_active = self.schedule_state.is_active(t, observed);
+        // Delivery is observed from the running counters (no
+        // allocation), absent until the first measured expiry.
+        self.env.decide(t, |key| {
+            schedule::class_delivery_observation(&self.delivered, &self.totals, key)
+        });
         self.advance_windows(t);
         self.seed_round(t);
         self.ideal_forwarding();
@@ -614,9 +521,9 @@ impl RoundSim for ScripGossipSim {
             planner.fill(
                 NodeId::all(n as u32),
                 |v, p| {
-                    if !(self.alive(v.index()) && self.alive(p.index())) {
+                    if !(self.env.is_live(v.index()) && self.env.is_live(p.index())) {
                         0
-                    } else if self.faults.link_up(v.index(), p.index()) {
+                    } else if self.env.faults().link_up(v.index(), p.index()) {
                         VIABLE | LINKED
                     } else {
                         VIABLE
@@ -644,10 +551,10 @@ impl RoundSim for ScripGossipSim {
                     continue; // absent/crashed/cut end: the slot is wasted
                 }
                 let (v, p) = (e.initiator, e.partner);
-                if strict && !self.alive(v.index()) {
+                if strict && !self.env.is_live(v.index()) {
                     continue;
                 }
-                if self.attack_active
+                if self.env.attack_active()
                     && self.nodes[v.index()].attacker
                     && matches!(
                         self.plan.kind,
@@ -656,11 +563,11 @@ impl RoundSim for ScripGossipSim {
                 {
                     continue; // crash/ideal attackers never interact
                 }
-                if strict && !self.alive(p.index()) {
+                if strict && !self.env.is_live(p.index()) {
                     continue;
                 }
                 if !e.is_linked() {
-                    self.faults.note_partition_blocked();
+                    self.env.faults_mut().note_partition_blocked();
                     continue; // partitioned apart
                 }
                 self.interaction(v, p, t, cap);
@@ -686,25 +593,15 @@ impl lotus_core::scenario::Scenario for ScripGossipSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.base.total_rounds();
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_round(self, |s| s.round >= s.cfg.base.total_rounds())
     }
 
     fn report(&self) -> ScripGossipReport {
         ScripGossipSim::report(self)
     }
 
-    fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.schedule_state.arm_trace()
+    fn env(&self) -> Option<&Env> {
+        Some(&self.env)
     }
 }
 
@@ -712,7 +609,7 @@ impl lotus_core::scenario::Summarize for ScripGossipReport {
     /// Common vocabulary for scrip-mediated gossip: delivery fractions as
     /// in BAR Gossip, with the market-health rates as custom metrics.
     fn summarize(&self) -> lotus_core::scenario::ScenarioReport {
-        let mut r = lotus_core::scenario::ScenarioReport::new(
+        lotus_core::scenario::ScenarioReport::new(
             "scrip-gossip",
             self.rounds,
             self.overall_delivery,
@@ -723,25 +620,9 @@ impl lotus_core::scenario::Summarize for ScripGossipReport {
         .with_metric("satiated_delivery", self.satiated_delivery)
         .with_metric("refusal_rate", self.refusal_rate)
         .with_metric("broke_rate", self.broke_rate)
-        .with_metric("total_money", self.total_money as f64);
-        // Conditional metrics: absent without the cut-off defense or an
-        // active fault plan, so pre-fault goldens stay byte-identical.
-        if let Some(c) = self.cuts {
-            r = r
-                .with_metric("false_cut_rate", c.false_cut_rate())
-                .with_metric("attacker_cut_rate", c.attacker_cut_rate())
-                .with_metric("cut_precision", c.precision())
-                .with_metric("cut_recall", c.attacker_cut_rate());
-        }
-        if let Some(f) = self.fault_counters {
-            r = r
-                .with_metric("faults_dropped", f.dropped as f64)
-                .with_metric("faults_duplicated", f.duplicated as f64)
-                .with_metric("faults_delayed", f.delayed as f64)
-                .with_metric("faults_crashes", f.crashes as f64)
-                .with_metric("faults_partition_blocked", f.partition_blocked as f64);
-        }
-        r
+        .with_metric("total_money", self.total_money as f64)
+        .with_cut_stats(self.cuts)
+        .with_fault_counters(self.fault_counters)
     }
 }
 

@@ -49,16 +49,15 @@
 //! index list the round loop needs (`alive_scratch`, the exchange-plan
 //! batch and its chunk tables, seeding picks, gift/return buffers) is a
 //! scratch buffer owned by the sim struct, cleared and refilled in
-//! place, and membership tracking (`reporters`, `fed`) uses
-//! [`lotus_core::bitset::BitSet`]. The timing layer keeps the invariant:
-//! the schedule stepper ([`lotus_core::schedule::ScheduleState`]) and the
-//! churn tracker ([`lotus_core::population::Population`]) never allocate,
-//! and metric observations for threshold triggers are computed from the
-//! running delivery counters, not from a report. Scratch contents are
-//! meaningless between phases — each user clears before filling — and
-//! none of it affects reports: refactors here must keep reports
-//! bit-identical per seed (the determinism, legacy-equivalence and
-//! schedule-golden tests are the guardrail).
+//! place, and membership tracking (`fed`, the defenses' quorums) uses
+//! [`lotus_core::bitset::BitSet`]. The environment keeps the invariant:
+//! churn, faults and the schedule stepper ([`lotus_core::env::Env`])
+//! never allocate, and metric observations for threshold triggers are
+//! computed from the running delivery counters, not from a report.
+//! Scratch contents are meaningless between phases — each user clears
+//! before filling — and none of it affects reports: refactors here must
+//! keep reports bit-identical per seed (the determinism,
+//! legacy-equivalence and schedule-golden tests are the guardrail).
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::{BarGossipConfig, DigestExchangeConfig};
@@ -69,10 +68,10 @@ use crate::exchange::{
 use crate::update::{UpdateId, WindowSet};
 use lotus_core::bitset::BitSet;
 use lotus_core::digest::{region_hash, BloomIndex};
-use lotus_core::faults::{CutStats, Fate, FaultCounters, FaultState};
+use lotus_core::env::{Env, EnvSpec, Quorum, Role};
+use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use lotus_core::pool::WorkerPool;
-use lotus_core::population::Population;
-use lotus_core::schedule::{self, MetricKey, ScheduleState};
+use lotus_core::schedule;
 use lotus_core::soa::ShardMap;
 use netsim::bandwidth::{BandwidthMeter, MsgClass};
 use netsim::partner::{PartnerSchedule, Protocol};
@@ -266,10 +265,9 @@ pub struct BarGossipSim {
     target: BitSet,
     /// Obedient reporters (report-and-evict defense).
     obedient: BitSet,
-    /// Evicted by the report defense.
-    evicted: BitSet,
-    /// Cut by the silence cut-off defense (excluded like `evicted`).
-    cut: BitSet,
+    /// Report-and-evict: distinct reporters per node; its removed set
+    /// is the evicted nodes.
+    reports: Quorum,
     /// Nodes that have ever been present. A flash-crowd node still
     /// waiting outside the system is *disengaged*: its window is not
     /// advanced (the lazy-window seam that makes `advance_windows`
@@ -279,9 +277,9 @@ pub struct BarGossipSim {
     /// ([`WindowSet::skip_to`]) and its unusable-round counter is
     /// seeded with the measured expiries it slept through.
     engaged: BitSet,
-    /// The sharded activity index over node indices: active =
-    /// present ∧ ¬down ∧ ¬evicted ∧ ¬cut, rebuilt word-parallel at the
-    /// top of every round. Round loops walk this instead of `0..n`, so
+    /// The sharded activity index over node indices: active = live in
+    /// the environment (present ∧ ¬down ∧ ¬cut) ∧ ¬evicted, rebuilt
+    /// word-parallel at the top of every round. Round loops walk this instead of `0..n`, so
     /// per-step cost scales with active nodes, not total population.
     shards: ShardMap,
     /// Word-parallel scratch mask for the rebuilds above.
@@ -313,9 +311,6 @@ pub struct BarGossipSim {
     totals: [u64; 3],
     attacker_union_delivered: u64,
     attacker_union_total: u64,
-    /// Distinct reporters per node (report-and-evict defense).
-    reporters: Vec<BitSet>,
-    evictions: u32,
     isolated_series: Vec<(Round, f64)>,
     /// Incoming interactions served this round, per node, per protocol.
     served_balanced: Vec<u32>,
@@ -329,27 +324,11 @@ pub struct BarGossipSim {
     node_unusable_rounds: Vec<u32>,
     /// Measured expired rounds so far.
     measured_rounds: u32,
-    /// Attack timing stepper (dormant/cooperate vs defect phases).
-    schedule_state: ScheduleState,
-    /// Whether the schedule has the attack on this round. While off,
-    /// attacker nodes cooperate: they run the honest protocol like
-    /// everyone else (building stock the eventual defection exploits).
-    attack_active: bool,
-    /// Membership under churn; everyone present without churn.
-    population: Population,
-    /// Fault injection (from `cfg.faults`); inert under the default plan.
-    faults: FaultState,
-    /// Fault-masquerading attackers' silence draws. Forked at
-    /// construction (stream-invisible) and drawn from only when a
-    /// masquerade attacker sends — `chance(0.0)` draws nothing, so on a
-    /// perfect network the attacker is bit-for-bit honest.
-    masq_rng: DetRng,
-    /// Distinct silence accusers per node (cut-off defense).
-    accusers: Vec<BitSet>,
-    /// Honest nodes cut by the silence defense.
-    cut_honest: u32,
-    /// Attacker nodes cut by the silence defense.
-    cut_attacker: u32,
+    /// Churn, faults, attack timing and the silence cut-off. While the
+    /// schedule has the attack off, attacker nodes cooperate: they run
+    /// the honest protocol like everyone else (building stock the
+    /// eventual defection exploits).
+    env: Env,
     /// Intra-run worker pool for the plan phase of each exchange round
     /// (`cfg.run_threads`; figures are byte-identical for any count).
     run_pool: WorkerPool,
@@ -491,22 +470,27 @@ impl BarGossipSim {
             }
         }
 
-        let mut population = Population::new(n as usize, cfg.churn, rng.fork("population"));
-        // Flash-crowd nodes are withdrawn now (index-ordered, no
-        // randomness) and enter with empty windows at their wave's
-        // round. Attackers are exempt from the holdback — they churn
-        // like anyone but the crowd itself is honest — so the defection
-        // and the crowd stay independently timed dimensions.
-        for (i, &class) in classes.iter().enumerate() {
-            if class == NodeClass::Attacker {
-                population.exempt_arrival(i);
+        // Flash-crowd nodes are withdrawn now and enter with empty
+        // windows at their wave's round. Attackers are never held back
+        // — the crowd itself is honest — so the defection and the crowd
+        // stay independently timed dimensions.
+        let spec = EnvSpec {
+            churn: cfg.churn,
+            arrival: cfg.arrival,
+            faults: cfg.faults,
+            schedule: plan.schedule,
+            cutoff: cfg.defenses.cutoff_quorum,
+        };
+        let env = Env::new(n as usize, spec, &rng, |i| {
+            if classes[i] == NodeClass::Attacker {
+                Role::Attacker
+            } else {
+                Role::Honest
             }
-        }
-        population.set_arrival(cfg.arrival);
-        let faults = FaultState::new(n as usize, cfg.faults, &rng);
+        });
         // Everyone present at round 0 is engaged; flash-crowd nodes
         // engage when their wave lands.
-        let engaged = population.present().clone();
+        let engaged = env.population().present().clone();
         // Digest-exchange state only when configured. The forks below
         // are stream-invisible (forking never advances the parent), so
         // classic runs are bit-identical whether or not this substrate
@@ -532,23 +516,8 @@ impl BarGossipSim {
             full: window.clone(),
             pool: window,
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
-            schedule_state: ScheduleState::seeded(plan.schedule, rng.fork("adaptive")),
-            attack_active: false,
-            population,
-            faults,
+            env,
             faults_msg: cfg.faults.has_message_faults(),
-            masq_rng: rng.fork("masquerade"),
-            // The accuser/reporter quorum sets are per-node bitsets —
-            // O(n²) bits — so they are only materialised when their
-            // defense is configured (they are never touched otherwise,
-            // and a million-node run cannot afford vestigial ones).
-            accusers: if cfg.defenses.cutoff_quorum.is_some() {
-                vec![BitSet::new(n as usize); n as usize]
-            } else {
-                Vec::new()
-            },
-            cut_honest: 0,
-            cut_attacker: 0,
             authority: Authority::new(rng.fork("authority").next_u64(), n),
             meter: BandwidthMeter::new(n),
             trace: TraceBuffer::disabled(),
@@ -557,12 +526,7 @@ impl BarGossipSim {
             totals: [0; 3],
             attacker_union_delivered: 0,
             attacker_union_total: 0,
-            reporters: if cfg.defenses.report.is_some() {
-                vec![BitSet::new(n as usize); n as usize]
-            } else {
-                Vec::new()
-            },
-            evictions: 0,
+            reports: Quorum::new(n as usize, cfg.defenses.report.map(|r| r.quorum)),
             // One sample per measured round; reserved up front so the
             // per-round push in `advance_windows` never reallocates
             // mid-run (the steady-state step stays allocation-free).
@@ -590,8 +554,6 @@ impl BarGossipSim {
             class: classes,
             target,
             obedient,
-            evicted: BitSet::new(n as usize),
-            cut: BitSet::new(n as usize),
             engaged,
             shards: ShardMap::new(n as usize),
             mask_scratch: BitSet::new(n as usize),
@@ -629,7 +591,7 @@ impl BarGossipSim {
 
     /// Whether `node` has been evicted by the report defense.
     pub fn is_evicted(&self, node: NodeId) -> bool {
-        self.evicted.contains(node.index())
+        self.reports.contains(node.index())
     }
 
     /// Bandwidth meter (units = updates/junk items).
@@ -647,11 +609,7 @@ impl BarGossipSim {
     }
 
     fn alive(&self, node: NodeId) -> bool {
-        let i = node.index();
-        !self.evicted.contains(i)
-            && !self.cut.contains(i)
-            && !self.faults.is_down(i)
-            && self.population.is_present(i)
+        !self.reports.contains(node.index()) && self.env.is_live(node.index())
     }
 
     /// Engage `node` if it has never been present before: fast-forward
@@ -675,7 +633,7 @@ impl BarGossipSim {
     /// — except covert (masquerade/poison) attackers, who stay
     /// protocol-obedient to remain indistinguishable.
     fn responder_accepts(&mut self, node: NodeId, push: bool) -> bool {
-        if self.attack_active && !self.plan.kind.covert() && self.is_attacker(node) {
+        if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(node) {
             return true;
         }
         let cap = self.cfg.responder_cap.map_or(u32::MAX, |c| c);
@@ -692,38 +650,24 @@ impl BarGossipSim {
         }
     }
 
-    /// Whether `sender`'s side of this interaction goes silent: a
-    /// fault-masquerading attacker withholds at the *round-aware*
-    /// ambient fault rate
-    /// ([`lotus_core::faults::FaultState::ambient_silence_rate`]), which
-    /// folds expected partition blocking in while an epoch is open —
-    /// matching only loss and delay would understate real ambient
-    /// silence there and make the masquerade statistically visible. Its
-    /// defections stay indistinguishable from background silence. Draws
-    /// nothing for honest senders, other attack kinds, or a zero
-    /// ambient rate (`chance(0.0)` is draw-free).
-    fn masquerade_silent(&mut self, sender: NodeId) -> bool {
-        if !self.attack_active
-            || self.plan.kind != AttackKind::Masquerade
-            || !self.is_attacker(sender)
-        {
-            return false;
-        }
-        let rate = self.faults.ambient_silence_rate();
-        self.masq_rng.chance(rate)
-    }
-
     /// Deliver one directed batch `from → to` through the masquerade
     /// filter and the fault layer; returns whether the receiver got it.
-    /// Uploads are metered on send (a lost message still cost the sender
-    /// bandwidth); a masquerade-silent sender sends nothing and meters
-    /// nothing; a duplicated batch meters its surplus as junk. Draw-free
+    /// A fault-masquerading attacker withholds at the round's ambient
+    /// silence rate ([`Env::masquerade_silent`]), so its defections stay
+    /// indistinguishable from background silence. Uploads are metered
+    /// on send (a lost message still cost the sender bandwidth); a
+    /// masquerade-silent sender sends nothing and meters nothing; a
+    /// duplicated batch meters its surplus as junk. Draw-free
     /// when no message faults and no masquerade attack are configured,
     /// so fault-free runs stay bit-identical.
     // lint: hot-loop
     fn faulty_send(&mut self, from: NodeId, to: NodeId, payload: u64, junk: u64) -> bool {
         let units = payload + junk;
-        if units == 0 || self.masquerade_silent(from) {
+        if units == 0
+            || (self.plan.kind == AttackKind::Masquerade
+                && self.is_attacker(from)
+                && self.env.masquerade_silent())
+        {
             return false;
         }
         // Inert fault plans skip the fate machinery entirely: the flag
@@ -731,7 +675,7 @@ impl BarGossipSim {
         // costs a predicted-taken branch, not a call (this recovered
         // the bench regression the fault layer's introduction cost).
         let fate = if self.faults_msg {
-            self.faults.fate(from.index(), to.index())
+            self.env.faults_mut().fate(from.index(), to.index())
         } else {
             Fate::Deliver
         };
@@ -751,30 +695,13 @@ impl BarGossipSim {
         }
     }
 
-    /// The silence cut-off defense: `observer` expected a delivery from
-    /// `partner` inside an established balanced exchange (digests were
-    /// traded, so the want was mutual knowledge) and got nothing. One
-    /// strike per distinct accuser; `cutoff_quorum` accusers cut the
-    /// node from the protocol. Attacker nodes never file — a
-    /// masquerading defector wants less scrutiny, not more. Silence in a
-    /// push is not actionable: a lost offer and a withheld payment look
-    /// identical to the initiator.
+    /// The silence cut-off defense ([`Env::note_silence`]): `observer`
+    /// expected a delivery from `partner` inside an established balanced
+    /// exchange (digests were traded, so the want was mutual knowledge)
+    /// and got nothing. Silence in a push is not actionable: a lost
+    /// offer and a withheld payment look identical to the initiator.
     fn note_silence(&mut self, observer: NodeId, partner: NodeId, now: Round) {
-        let Some(quorum) = self.cfg.defenses.cutoff_quorum else {
-            return;
-        };
-        if self.class[observer.index()] == NodeClass::Attacker {
-            return;
-        }
-        let set = &mut self.accusers[partner.index()];
-        set.insert(observer.index());
-        if set.len() as u32 >= quorum && !self.cut.contains(partner.index()) {
-            self.cut.insert(partner.index());
-            if self.class[partner.index()] == NodeClass::Attacker {
-                self.cut_attacker += 1;
-            } else {
-                self.cut_honest += 1;
-            }
+        if self.env.note_silence(observer.index(), partner.index()) {
             self.trace
                 .emit(now, partner, EventKind::Evict, "cut on silence quorum");
         }
@@ -783,30 +710,6 @@ impl BarGossipSim {
     // ------------------------------------------------------------------
     // Round phases.
     // ------------------------------------------------------------------
-
-    /// Canonical-metric observation for metric-threshold schedules,
-    /// computed from the running delivery counters (no report, no
-    /// allocation). `None` until the first measured expiry — an
-    /// unmeasured metric must not latch a threshold trigger. Presence is
-    /// answered from live membership, so `presence-*` triggers observe
-    /// from round 0.
-    fn observe(&self, key: MetricKey) -> Option<f64> {
-        if key == MetricKey::PresentFraction {
-            return Some(self.population.present_fraction());
-        }
-        if key == MetricKey::FalseCutRate {
-            // Running honest collateral of the cut-off defense; absent
-            // when the defense is off (nothing to observe).
-            self.cfg.defenses.cutoff_quorum?;
-            let honest = self.honest_list.len();
-            return Some(if honest == 0 {
-                0.0
-            } else {
-                f64::from(self.cut_honest) / honest as f64
-            });
-        }
-        schedule::class_delivery_observation(&self.delivered, &self.totals, key)
-    }
 
     /// Phase 0: account attacker union coverage for the round about to
     /// expire (must run before the windows slide).
@@ -922,7 +825,7 @@ impl BarGossipSim {
     /// Phase 3 (ideal attack only): instant out-of-band forwarding of the
     /// attacker pool to every satiated-set node.
     fn ideal_forwarding(&mut self) {
-        if self.plan.kind != AttackKind::IdealLotusEater || !self.attack_active {
+        if self.plan.kind != AttackKind::IdealLotusEater || !self.env.attack_active() {
             return;
         }
         // Representative attacker for bandwidth attribution (lowest
@@ -1064,11 +967,6 @@ impl BarGossipSim {
 
     /// File a signed excess-service report; evict on quorum.
     fn file_report(&mut self, reporter: NodeId, reported: NodeId, now: Round, amount: u64) {
-        let report_cfg = self
-            .cfg
-            .defenses
-            .report
-            .expect("file_report requires the report defense");
         // Evidence: the reporter signs (reported, round, amount); the
         // tracker verifies before accepting. With the simulated authority
         // this always verifies, but the flow matches the real protocol.
@@ -1079,11 +977,7 @@ impl BarGossipSim {
         self.trace.emit_with(now, reported, EventKind::Report, || {
             format!("excess service reported by {reporter}")
         });
-        let set = &mut self.reporters[reported.index()];
-        set.insert(reporter.index());
-        if set.len() as u32 >= report_cfg.quorum && !self.evicted.contains(reported.index()) {
-            self.evicted.insert(reported.index());
-            self.evictions += 1;
+        if self.reports.strike(reporter.index(), reported.index()) {
             self.trace
                 .emit(now, reported, EventKind::Evict, "evicted on report quorum");
         }
@@ -1109,7 +1003,8 @@ impl BarGossipSim {
             .min(self.honest_list.len());
         self.target.clear();
         let phase = self
-            .schedule_state
+            .env
+            .schedule()
             .rotation_phase(t)
             .expect("rotation_period() implies a rotation phase");
         for w in schedule::rotating_window(phase, count, self.honest_list.len()) {
@@ -1118,8 +1013,8 @@ impl BarGossipSim {
     }
 
     /// Whether a configured defense can remove nodes *during* an
-    /// exchange phase: report-and-evict inserts into `evicted` and the
-    /// silence cut-off inserts into `cut` while pairs are being applied.
+    /// exchange phase: report-and-evict and the silence cut-off both
+    /// remove nodes while pairs are being applied.
     /// When neither is on, aliveness is fixed for the whole round (churn
     /// and faults only flip at round start), so the plan's viability
     /// snapshot stays exact through apply and the hot path can skip the
@@ -1145,7 +1040,7 @@ impl BarGossipSim {
         if !viable {
             return 0;
         }
-        if self.faults.link_up(v.index(), p.index()) {
+        if self.env.faults().link_up(v.index(), p.index()) {
             VIABLE | LINKED
         } else {
             VIABLE
@@ -1276,7 +1171,7 @@ impl BarGossipSim {
                 // Partitioned apart: the interaction never happens. The
                 // blocked-interaction counter ticks here — the position
                 // the legacy walk's counting link check sat at.
-                self.faults.note_partition_blocked();
+                self.env.faults_mut().note_partition_blocked();
                 continue;
             }
             // While the schedule has the attack off, attacker nodes run
@@ -1285,7 +1180,7 @@ impl BarGossipSim {
             // (masquerade/poison) attackers *always* take the honest
             // path — their defection lives inside the delivery step, not
             // in the dispatch.
-            let classes = if self.attack_active && !self.plan.kind.covert() {
+            let classes = if self.env.attack_active() && !self.plan.kind.covert() {
                 (self.class[v.index()], self.class[p.index()])
             } else {
                 (NodeClass::Isolated, NodeClass::Isolated)
@@ -1385,7 +1280,7 @@ impl BarGossipSim {
             // attacker arms are deliberately *not* gated on the link —
             // the legacy path never was (attacker pooling models an
             // out-of-band channel), and the goldens pin that.
-            if self.attack_active && !self.plan.kind.covert() && self.is_attacker(v) {
+            if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(v) {
                 if self.plan.kind == AttackKind::TradeLotusEater && (!strict || self.alive(p)) {
                     if self.class[p.index()] == NodeClass::Attacker {
                         self.attacker_sync(v, p);
@@ -1403,10 +1298,10 @@ impl BarGossipSim {
                 continue;
             }
             if !e.is_linked() {
-                self.faults.note_partition_blocked();
+                self.env.faults_mut().note_partition_blocked();
                 continue; // partitioned apart
             }
-            if self.attack_active && !self.plan.kind.covert() && self.is_attacker(p) {
+            if self.env.attack_active() && !self.plan.kind.covert() && self.is_attacker(p) {
                 if self.plan.kind == AttackKind::TradeLotusEater && self.target.contains(v.index())
                 {
                     self.attacker_gift(p, v, t, true);
@@ -1482,10 +1377,10 @@ impl BarGossipSim {
                 continue;
             }
             if !e.is_linked() {
-                self.faults.note_partition_blocked();
+                self.env.faults_mut().note_partition_blocked();
                 continue;
             }
-            let classes = if self.attack_active && !self.plan.kind.covert() {
+            let classes = if self.env.attack_active() && !self.plan.kind.covert() {
                 (self.class[v.index()], self.class[p.index()])
             } else {
                 (NodeClass::Isolated, NodeClass::Isolated)
@@ -1685,8 +1580,9 @@ impl BarGossipSim {
     ) {
         let mut deliver = std::mem::take(&mut st.deliver);
         deliver.clear();
-        let poisoner =
-            self.attack_active && self.plan.kind == AttackKind::Poison && self.is_attacker(sender);
+        let poisoner = self.env.attack_active()
+            && self.plan.kind == AttackKind::Poison
+            && self.is_attacker(sender);
         let mut strike = false;
         for &id in want {
             if !self.windows[sender.index()].contains(id) {
@@ -1776,7 +1672,7 @@ impl BarGossipSim {
                 self.attacker_union_delivered as f64 / self.attacker_union_total as f64
             },
             counts,
-            evictions: self.evictions,
+            evictions: self.reports.removed_count() as u32,
             junk_fraction: self.meter.junk_fraction(),
             mean_attacker_upload: self
                 .meter
@@ -1822,17 +1718,8 @@ impl BarGossipSim {
                         / samples as f64
                 }
             },
-            cuts: self.cfg.defenses.cutoff_quorum.map(|_| CutStats {
-                cut_honest: self.cut_honest,
-                cut_attacker: self.cut_attacker,
-                honest: counts.isolated + counts.satiated,
-                attackers: counts.attacker,
-            }),
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            cuts: self.env.cut_stats(),
+            fault_counters: self.env.fault_counters(),
             digest: self.digest_state.as_ref().map(|d| d.stats),
         }
     }
@@ -1842,24 +1729,21 @@ impl RoundSim for BarGossipSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        // Timing layer first: churn membership and faults, then the
-        // schedule decides whether this round is a cooperate or defect
-        // round. All are no-ops (no rng draws, no allocation) under the
-        // default always-on, churn-free, fault-free configuration.
-        self.population.begin_round(t);
-        self.faults.begin_round(t);
-        if !self.faults.just_crashed().is_empty() {
-            // State-losing crash: unlike churned-out nodes, which keep
-            // their windows while away, a crashed node re-enters cold.
-            for i in self.faults.just_crashed().iter() {
-                self.windows[i].clear();
-            }
+        // Environment first: churn membership and faults, then (below)
+        // the schedule decides whether this round is a cooperate or
+        // defect round. All are no-ops (no rng draws, no allocation)
+        // under the default always-on, churn-free, fault-free
+        // configuration. State-losing crash: unlike churned-out nodes,
+        // which keep their windows while away, a crashed node re-enters
+        // cold.
+        for i in self.env.begin_round(t).iter() {
+            self.windows[i].clear();
         }
         // Engage nodes whose arrival wave just landed: fast-forward
         // their windows into lockstep before anything slides. Inlined
         // (rather than calling `ensure_engaged`) so the scratch-mask
         // iteration and the window mutations borrow disjoint fields.
-        self.mask_scratch.copy_from(self.population.present());
+        self.mask_scratch.copy_from(self.env.population().present());
         self.mask_scratch.subtract(&self.engaged);
         if !self.mask_scratch.is_empty() {
             for i in self.mask_scratch.iter() {
@@ -1870,21 +1754,20 @@ impl RoundSim for BarGossipSim {
                 self.node_unusable_rounds[i] = self.measured_rounds;
             }
         }
-        // Rebuild the round's activity snapshot: active = present ∧
-        // ¬down ∧ ¬evicted ∧ ¬cut, word-parallel. Nothing becomes
-        // alive mid-round (evictions and cuts only remove), so the
-        // snapshot is a superset of every `alive()` check below and the
-        // shard walks see exactly the dense filter lists.
-        self.mask_scratch.copy_from(self.population.present());
-        self.mask_scratch.subtract(self.faults.down_mask());
-        self.mask_scratch.subtract(&self.evicted);
-        self.mask_scratch.subtract(&self.cut);
+        // Rebuild the round's activity snapshot: active = live ∧
+        // ¬evicted, word-parallel. Nothing becomes alive mid-round
+        // (evictions and cuts only remove), so the snapshot is a
+        // superset of every `alive()` check below and the shard walks
+        // see exactly the dense filter lists.
+        self.env.live_into(&mut self.mask_scratch);
+        self.reports.exclude_from(&mut self.mask_scratch);
         self.shards.load(&self.mask_scratch);
-        let observed = self
-            .schedule_state
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        self.attack_active = self.schedule_state.is_active(t, observed);
+        // Delivery is observed from the running counters (no report, no
+        // allocation) and is absent until the first measured expiry — an
+        // unmeasured metric must not latch a threshold trigger.
+        self.env.decide(t, |key| {
+            schedule::class_delivery_observation(&self.delivered, &self.totals, key)
+        });
         self.account_attacker_coverage(t);
         self.rotate_targets(t);
         self.advance_windows(t);
@@ -1925,11 +1808,6 @@ impl lotus_core::satiation::Feedable for BarGossipSim {
         self.windows[node.index()].union_with(&self.full);
         self.fed.insert(node.index());
     }
-
-    fn step(&mut self) {
-        let t = self.round;
-        self.round(t);
-    }
 }
 
 impl lotus_core::satiation::Satiable for BarGossipSim {
@@ -1964,25 +1842,15 @@ impl lotus_core::scenario::Scenario for BarGossipSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.total_rounds();
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_round(self, |s| s.round >= s.cfg.total_rounds())
     }
 
     fn report(&self) -> BarGossipReport {
         BarGossipSim::report(self)
     }
 
-    fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.schedule_state.arm_trace()
+    fn env(&self) -> Option<&Env> {
+        Some(&self.env)
     }
 }
 
@@ -2023,25 +1891,9 @@ impl lotus_core::scenario::Summarize for BarGossipReport {
         .with_metric("mean_honest_upload", self.mean_honest_upload)
         .with_metric("min_node_delivery", self.min_node_delivery)
         .with_metric("nodes_ever_unusable", self.nodes_ever_unusable)
-        .with_metric("unusable_node_rounds", self.unusable_node_rounds);
-        // Defense- and fault-conditional metrics: absent from reports of
-        // runs that configured neither, so pre-fault goldens stay
-        // byte-identical.
-        if let Some(c) = self.cuts {
-            r = r
-                .with_metric("false_cut_rate", c.false_cut_rate())
-                .with_metric("attacker_cut_rate", c.attacker_cut_rate())
-                .with_metric("cut_precision", c.precision())
-                .with_metric("cut_recall", c.attacker_cut_rate());
-        }
-        if let Some(f) = self.fault_counters {
-            r = r
-                .with_metric("faults_dropped", f.dropped as f64)
-                .with_metric("faults_duplicated", f.duplicated as f64)
-                .with_metric("faults_delayed", f.delayed as f64)
-                .with_metric("faults_crashes", f.crashes as f64)
-                .with_metric("faults_partition_blocked", f.partition_blocked as f64);
-        }
+        .with_metric("unusable_node_rounds", self.unusable_node_rounds)
+        .with_cut_stats(self.cuts)
+        .with_fault_counters(self.fault_counters);
         if let Some(d) = self.digest {
             r = r
                 .with_metric("digest_bytes_on_wire", d.bytes_on_wire() as f64)

@@ -210,3 +210,27 @@ fn bittorrent_steady_step_is_alloc_free() {
     // the measured window.
     assert_steady_steps_alloc_free("bittorrent", "satiate", &[("pieces", "128")]);
 }
+
+#[test]
+fn quorum_off_state_allocates_nothing() {
+    let stats = measure(|| lotus_core::env::Quorum::new(1 << 20, None));
+    assert!(stats.is_zero(), "an off quorum allocated: {stats:?}");
+}
+
+#[test]
+fn scrip_gossip_without_cutoff_builds_no_accuser_sets() {
+    // The silence cut-off's per-node accuser sets cost n² bits. Without
+    // the defense a build must not pay for them: at 2000 nodes the sets
+    // alone would request n²/8 = 500 kB.
+    let n: u64 = 2000;
+    let mut params = Params::new();
+    params.set("nodes", n.to_string());
+    let req = RunRequest::new(0.3, 1, "trade", "fraction", &params);
+    let reg = ScenarioRegistry::standard();
+    let stats = measure(|| reg.build("scrip-gossip", &req).expect("build scrip-gossip"));
+    assert!(
+        stats.bytes < n * n / 8,
+        "scrip-gossip build at {n} nodes requested {} bytes",
+        stats.bytes
+    );
+}

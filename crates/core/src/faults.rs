@@ -302,9 +302,10 @@ impl FaultPlan {
 /// Per-run fault state under a [`FaultPlan`], deterministic in the rng
 /// the simulator forks for it.
 ///
-/// Simulators call [`FaultState::begin_round`] once per round (next to
-/// `Population::begin_round`), scan [`FaultState::just_crashed`] to
-/// cold-reset crashed nodes, gate interactions on
+/// The substrate environment ([`crate::env::Env`]) calls
+/// [`FaultState::begin_round`] once per round, right after
+/// `Population::begin_round`; simulators scan
+/// [`FaultState::just_crashed`] to cold-reset crashed nodes, gate interactions on
 /// [`FaultState::is_down`] / [`FaultState::link_ok`], and draw a
 /// [`Fate`] per directed delivery at the exchange seam.
 ///

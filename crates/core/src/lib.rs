@@ -26,6 +26,11 @@
 //!   arrivals ([`ArrivalProcess`](population::ArrivalProcess)) driving a
 //!   deterministic membership tracker
 //!   ([`Population`](population::Population)) every simulator runs under;
+//! * [`env`] — the substrate environment
+//!   ([`Env`](env::Env)): churn, faults, attack timing and the silence
+//!   cut-off wired once, in one round order, for every scheduled
+//!   substrate, plus the distinct-accuser [`Quorum`](env::Quorum) behind
+//!   both quorum defenses;
 //! * [`faults`] — fault injection: lossy links, state-losing crashes and
 //!   epoch partitions ([`FaultPlan`](faults::FaultPlan) /
 //!   [`FaultState`](faults::FaultState)), the realistic-network
@@ -93,6 +98,7 @@ pub mod attack;
 pub mod bitset;
 pub mod defense;
 pub mod digest;
+pub mod env;
 pub mod faults;
 pub mod pool;
 pub mod population;

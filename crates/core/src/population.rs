@@ -533,11 +533,6 @@ impl Population {
         }
     }
 
-    /// A population that never churns (for legacy construction paths).
-    pub fn closed(n: usize) -> Self {
-        Population::new(n, ChurnProfile::none(), DetRng::seed_from(0))
-    }
-
     /// Mark `node` as never departing (origin seeds, attacker peers,
     /// broadcasters). Also readmits it if currently absent or pending.
     pub fn protect(&mut self, node: usize) {
@@ -604,13 +599,6 @@ impl Population {
     /// common case); the first cohort's rates otherwise.
     pub fn spec(&self) -> &ChurnSpec {
         &self.profile.classes[0].spec
-    }
-
-    /// Whether membership can change at all: churn with a positive leave
-    /// rate, or an arrival process. Sims use this to keep per-node
-    /// presence probes out of closed-population hot paths.
-    pub fn has_dynamics(&self) -> bool {
-        self.profile.is_active() || self.arrival.is_some()
     }
 
     /// Whether `node` is currently in the system.

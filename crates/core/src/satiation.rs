@@ -36,26 +36,24 @@ pub trait Satiable {
     }
 }
 
-/// A [`Satiable`] system that an attacker can feed and step — the minimal
-/// interface needed to state Observation 3.1 operationally.
-pub trait Feedable: Satiable {
+/// A [`Satiable`] round-driven system that an attacker can feed and
+/// step — the minimal interface needed to state Observation 3.1
+/// operationally.
+pub trait Feedable: Satiable + netsim::round::RoundSim {
     /// Give `node` everything it could want, instantly ("sufficiently
     /// rapidly" taken to its limit, as the paper's proof sketch does).
     fn feed_fully(&mut self, node: NodeId);
 
     /// Advance the system one round.
-    fn step(&mut self);
+    fn step(&mut self) {
+        let t = self.rounds_run();
+        self.round(t);
+    }
 }
 
 impl Feedable for crate::token::TokenSystem {
     fn feed_fully(&mut self, node: NodeId) {
         self.satiate(node);
-    }
-
-    fn step(&mut self) {
-        use netsim::round::RoundSim;
-        let t = self.rounds_run();
-        self.round(t);
     }
 }
 

@@ -107,11 +107,10 @@ pub trait Scenario: Sized {
     /// Snapshot the typed report for the rounds executed so far.
     fn report(&self) -> Self::Report;
 
-    /// The adaptive attacker's per-phase arm trace, when this run is
-    /// driven by an [`AdaptivePolicy`](crate::adaptive::AdaptivePolicy)
-    /// (substrates expose their schedule stepper's trace). `None` for
-    /// every open-loop schedule — the default.
-    fn arm_trace(&self) -> Option<&[crate::adaptive::TraceEntry]> {
+    /// The substrate environment the scenario runs under, when it has
+    /// one (churn, faults, attack timing; see [`crate::env`]). `None` —
+    /// the default — for substrates off every environment axis.
+    fn env(&self) -> Option<&crate::env::Env> {
         None
     }
 
@@ -139,6 +138,24 @@ pub trait Scenario: Sized {
 /// ```
 pub fn run<S: Scenario>(cfg: S::Config, attack: S::Attack, seed: u64) -> S::Report {
     S::build(cfg, attack, seed).finish()
+}
+
+/// The [`Scenario::step`] of a round-driven substrate: run the next
+/// round unless `done` already holds, then report whether it holds.
+/// Once `done`, further calls run nothing and keep returning
+/// [`StepOutcome::Done`].
+pub fn step_round<S: netsim::round::RoundSim>(
+    sim: &mut S,
+    done: impl Fn(&S) -> bool,
+) -> StepOutcome {
+    if !done(sim) {
+        netsim::round::run(sim, 1);
+    }
+    if done(sim) {
+        StepOutcome::Done
+    } else {
+        StepOutcome::Continue
+    }
 }
 
 /// Build a scenario behind the type-erased [`DynScenario`] interface.
@@ -218,6 +235,29 @@ impl ScenarioReport {
     pub fn with_metric(mut self, key: impl Into<String>, value: f64) -> Self {
         self.set_metric(key, value);
         self
+    }
+
+    /// Attach the fault counters as `faults_*` metrics. `None` (an
+    /// inactive fault plan) attaches nothing, so fault-free reports stay
+    /// byte-identical to pre-fault ones.
+    pub fn with_fault_counters(self, counters: Option<crate::faults::FaultCounters>) -> Self {
+        let Some(f) = counters else { return self };
+        self.with_metric("faults_dropped", f.dropped as f64)
+            .with_metric("faults_duplicated", f.duplicated as f64)
+            .with_metric("faults_delayed", f.delayed as f64)
+            .with_metric("faults_crashes", f.crashes as f64)
+            .with_metric("faults_partition_blocked", f.partition_blocked as f64)
+    }
+
+    /// Attach a cut-off defense's outcome (`false_cut_rate`,
+    /// `attacker_cut_rate`, `cut_precision`, `cut_recall`). `None` (the
+    /// defense off) attaches nothing.
+    pub fn with_cut_stats(self, cuts: Option<crate::faults::CutStats>) -> Self {
+        let Some(c) = cuts else { return self };
+        self.with_metric("false_cut_rate", c.false_cut_rate())
+            .with_metric("attacker_cut_rate", c.attacker_cut_rate())
+            .with_metric("cut_precision", c.precision())
+            .with_metric("cut_recall", c.attacker_cut_rate())
     }
 
     /// Attach or replace a custom metric.
@@ -340,8 +380,10 @@ pub trait DynScenario {
     /// Snapshot the common-vocabulary report for the rounds so far.
     fn report_dyn(&self) -> ScenarioReport;
 
-    /// The adaptive arm trace, if the scenario ran one (see
-    /// [`Scenario::arm_trace`]).
+    /// The adaptive attacker's per-phase arm trace, when an
+    /// [`AdaptivePolicy`](crate::adaptive::AdaptivePolicy) drove the run
+    /// (from the scenario's [`Scenario::env`]); `None` for every
+    /// open-loop schedule.
     fn arm_trace_dyn(&self) -> Option<&[crate::adaptive::TraceEntry]> {
         None
     }
@@ -367,7 +409,7 @@ impl<S: Scenario> DynScenario for S {
     }
 
     fn arm_trace_dyn(&self) -> Option<&[crate::adaptive::TraceEntry]> {
-        self.arm_trace()
+        self.env().and_then(|env| env.schedule().arm_trace())
     }
 }
 

@@ -16,9 +16,9 @@
 //!   "strike when the system looks healthy" attacker);
 //! * [`AttackSchedule`] — a trigger plus an optional target-rotation
 //!   period, `Copy`, parseable from the `lotus-bench --schedule` grammar;
-//! * [`ScheduleState`] — the deterministic per-run stepper every sim
-//!   embeds; one `is_active` call per round decides the phase
-//!   (dormant/cooperate vs defect);
+//! * [`ScheduleState`] — the deterministic per-run stepper every sim's
+//!   environment ([`crate::env::Env`]) embeds; one `is_active` call per
+//!   round decides the phase (dormant/cooperate vs defect);
 //! * [`rotating_window`] — the shared rotation arithmetic that used to be
 //!   copied into `RotatingSatiation` and the BAR Gossip simulator.
 //!
@@ -386,9 +386,9 @@ impl ScheduleState {
     ///
     /// An adaptive spec needs exploration randomness; this constructor
     /// seeds it from a fixed stream, so two runs differing only in their
-    /// master seed would explore identically. Simulators use
-    /// [`ScheduleState::seeded`] with a dedicated fork of their own rng
-    /// instead; `new` is for schedule-only contexts (tests, the
+    /// master seed would explore identically. The substrate environment
+    /// ([`crate::env::Env`]) uses [`ScheduleState::seeded`] with a
+    /// dedicated fork of the substrate's rng instead; `new` is for schedule-only contexts (tests, the
     /// always-on defaults) and non-adaptive specs, where the two
     /// constructors coincide.
     pub fn new(spec: AttackSchedule) -> Self {
@@ -510,10 +510,7 @@ pub fn class_delivery_observation(
     match key {
         MetricKey::OverallDelivery => frac(delivered[0] + delivered[1], totals[0] + totals[1]),
         MetricKey::TargetedService => frac(delivered[1], totals[1]),
-        // Presence is population state and false cuts are defense
-        // accounting, not delivery: callers answer those from their
-        // `Population` / cut counters before reaching for this helper,
-        // so a counter-only caller simply has no observation.
+        // Not delivery: the substrate environment answers these.
         MetricKey::PresentFraction | MetricKey::FalseCutRate => None,
     }
 }

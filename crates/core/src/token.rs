@@ -416,15 +416,10 @@ pub struct TokenSystem {
     /// Attacker randomness for the scenario path; forked exactly like
     /// [`TokenSystem::run`] forks so both paths see the same stream.
     attack_rng: DetRng,
-    /// Attack timing for the scenario path (always-on by default, so the
-    /// legacy entry points are unaffected).
-    schedule: crate::schedule::ScheduleState,
-    /// Membership under churn; closed (everyone always present) unless
-    /// the scenario config asks for churn.
-    population: crate::population::Population,
-    /// Fault injection for the scenario path (inactive by default, so
-    /// the legacy entry points are unaffected).
-    faults: crate::faults::FaultState,
+    /// Churn, faults and attack timing for the scenario path: a closed,
+    /// fault-free, always-on environment by default, so the legacy entry
+    /// points are unaffected.
+    env: crate::env::Env,
 }
 
 impl TokenSystem {
@@ -435,6 +430,14 @@ impl TokenSystem {
     /// Panics if the config fails [`TokenSystemConfig::validate`]; prefer
     /// building configs through the builder, which validates.
     pub fn new(cfg: TokenSystemConfig, seed: u64) -> Self {
+        TokenSystem::with_env(cfg, seed, crate::env::EnvSpec::default())
+    }
+
+    /// [`TokenSystem::new`] under the environment `spec`. The rare-token
+    /// holder of [`Allocation::RareToken`] is crash-exempt: faults
+    /// degrade dissemination, they must not destroy the content
+    /// outright.
+    fn with_env(cfg: TokenSystemConfig, seed: u64, spec: crate::env::EnvSpec) -> Self {
         cfg.validate().expect("invalid TokenSystemConfig");
         let n = cfg.graph.len() as usize;
         let mut rng = DetRng::seed_from(seed).fork("token-system");
@@ -466,6 +469,17 @@ impl TokenSystem {
         }
         let _ = rng.next_u64(); // decouple run stream from allocation stream
         let snapshot = holdings.clone();
+        let rare_holder = match cfg.allocation {
+            Allocation::RareToken { holder, .. } => Some(holder.index()),
+            _ => None,
+        };
+        let env = crate::env::Env::new(n, spec, &rng, |i| {
+            if Some(i) == rare_holder {
+                crate::env::Role::CrashExempt
+            } else {
+                crate::env::Role::Honest
+            }
+        });
         TokenSystem {
             cfg,
             holdings,
@@ -478,13 +492,7 @@ impl TokenSystem {
             attack: crate::attack::TokenAttack::none(),
             horizon: 0,
             attack_rng: rng.fork("attacker"),
-            schedule: crate::schedule::ScheduleState::new(crate::schedule::AttackSchedule::always()),
-            population: crate::population::Population::new(
-                n,
-                crate::population::ChurnSpec::none(),
-                rng.fork("population"),
-            ),
-            faults: crate::faults::FaultState::new(n, crate::faults::FaultPlan::none(), &rng),
+            env,
             rng,
             satiated_series: Vec::new(),
             all_satiated_at: None,
@@ -550,8 +558,7 @@ impl TokenSystem {
         }
         let mut round_rng = self.rng.fork_idx("round", self.round);
         for i in 0..n {
-            if self.satiated_scratch[i] || !self.population.is_present(i) || self.faults.is_down(i)
-            {
+            if self.satiated_scratch[i] || !self.env.is_live(i) {
                 continue; // satiated nodes stop initiating; absent/crashed can't
             }
             let degree = self.cfg.graph.degree(NodeId(i as u32));
@@ -562,10 +569,10 @@ impl TokenSystem {
             round_rng.sample_indices_into(degree, c, &mut self.picks_scratch);
             for p in 0..c {
                 let j = self.cfg.graph.neighbors(NodeId(i as u32))[self.picks_scratch[p]] as usize;
-                if !self.population.is_present(j) || self.faults.is_down(j) {
+                if !self.env.is_live(j) {
                     continue; // absent or crashed partner: the contact is wasted
                 }
-                if !self.faults.link_ok(i, j) {
+                if !self.env.faults_mut().link_ok(i, j) {
                     continue; // the partition separates the pair
                 }
                 if self.satiated_scratch[j] && !round_rng.chance(self.cfg.altruism) {
@@ -575,11 +582,11 @@ impl TokenSystem {
                 // direction draws its own fate (a lost half leaves a
                 // one-way exchange — under an inactive plan both always
                 // deliver without drawing).
-                if self.faults.fate(j, i) != crate::faults::Fate::Drop {
+                if self.env.faults_mut().fate(j, i) != crate::faults::Fate::Drop {
                     self.served[j] += self.snapshot[j].difference_count(&self.snapshot[i]) as u64;
                     self.holdings[i].union_with(&self.snapshot[j]);
                 }
-                if self.faults.fate(i, j) != crate::faults::Fate::Drop {
+                if self.env.faults_mut().fate(i, j) != crate::faults::Fate::Drop {
                     self.served[i] += self.snapshot[i].difference_count(&self.snapshot[j]) as u64;
                     self.holdings[j].union_with(&self.snapshot[i]);
                 }
@@ -599,8 +606,8 @@ impl TokenSystem {
     /// start-of-round state) and its chosen targets are satiated before any
     /// gossip happens, exactly as in the paper's model. The attacker rides
     /// the generic pre-round hook seam ([`netsim::round::run_with`]) over
-    /// the [`RoundSim`] gossip rounds — the same seam population churn and
-    /// schedule stepping use in the scenario path.
+    /// the [`RoundSim`] gossip rounds; churn, faults and attack timing
+    /// belong to the scenario path's environment ([`crate::env`]).
     pub fn run(
         &mut self,
         attacker: &mut dyn crate::attack::Attacker,
@@ -667,11 +674,7 @@ impl TokenSystem {
             attacked_nodes: self.attacked.iter().copied().collect(),
             token_reach,
             untouched_satisfied,
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            fault_counters: self.env.fault_counters(),
         }
     }
 }
@@ -768,22 +771,26 @@ impl TokenScenarioConfig {
 }
 
 impl TokenSystem {
-    /// The canonical-metric observation for metric-threshold schedules:
-    /// computed directly from holdings (no report allocation). Coverage
+    /// The delivery observation for metric-threshold schedules: coverage
+    /// computed directly from `holdings` (no report allocation). Coverage
     /// is genuine data from round 0 (the initial allocation), so this
     /// always observes.
-    fn observe(&self, key: crate::schedule::MetricKey) -> Option<f64> {
+    fn observe(
+        holdings: &[BitSet],
+        attacked: &std::collections::BTreeSet<NodeId>,
+        key: crate::schedule::MetricKey,
+    ) -> Option<f64> {
         let mut untouched_sum = 0.0;
         let mut untouched_n = 0usize;
         let mut attacked_sum = 0.0;
         let mut attacked_n = 0usize;
-        for (i, h) in self.holdings.iter().enumerate() {
+        for (i, h) in holdings.iter().enumerate() {
             let cov = if h.universe() == 0 {
                 1.0
             } else {
                 h.len() as f64 / h.universe() as f64
             };
-            if self.attacked.contains(&NodeId(i as u32)) {
+            if attacked.contains(&NodeId(i as u32)) {
                 attacked_sum += cov;
                 attacked_n += 1;
             } else {
@@ -796,20 +803,12 @@ impl TokenSystem {
         } else {
             untouched_sum / untouched_n as f64
         };
-        Some(match key {
-            crate::schedule::MetricKey::OverallDelivery => overall,
-            crate::schedule::MetricKey::TargetedService => {
-                if attacked_n == 0 {
-                    overall
-                } else {
-                    attacked_sum / attacked_n as f64
-                }
+        match key {
+            crate::schedule::MetricKey::TargetedService if attacked_n > 0 => {
+                Some(attacked_sum / attacked_n as f64)
             }
-            // Live membership state, not a holdings metric.
-            crate::schedule::MetricKey::PresentFraction => self.population.present_fraction(),
-            // The token substrate has no cut defense to report on.
-            crate::schedule::MetricKey::FalseCutRate => return None,
-        })
+            _ => Some(overall),
+        }
     }
 }
 
@@ -820,37 +819,22 @@ impl crate::scenario::Scenario for TokenSystem {
     const NAME: &'static str = "token";
 
     fn build(cfg: TokenScenarioConfig, attack: crate::attack::TokenAttack, seed: u64) -> Self {
-        let mut sys = TokenSystem::new(cfg.system, seed);
+        // Flash-crowd members are withdrawn at construction and re-enter
+        // with whatever their initial allocation gave them — they have
+        // never gossiped.
+        let spec = crate::env::EnvSpec {
+            churn: cfg.churn,
+            arrival: cfg.arrival,
+            faults: cfg.faults,
+            schedule: cfg.schedule,
+            cutoff: None,
+        };
+        let mut sys = TokenSystem::with_env(cfg.system, seed, spec);
         sys.attack = attack;
         sys.horizon = cfg.rounds;
         // Pre-size the per-round series so steady-state pushes never
         // reallocate mid-run.
         sys.satiated_series.reserve(cfg.rounds as usize);
-        // Seed the adaptive policy (if any) from a dedicated fork;
-        // forking never advances `sys.rng`, so non-adaptive runs stay
-        // bit-identical to the legacy path.
-        sys.schedule =
-            crate::schedule::ScheduleState::seeded(cfg.schedule, sys.rng.fork("adaptive"));
-        // Re-fork the population stream with the configured churn; forking
-        // never advances `sys.rng`, so churn-free runs stay bit-identical
-        // to the legacy path.
-        sys.population = crate::population::Population::new(
-            sys.holdings.len(),
-            cfg.churn,
-            sys.rng.fork("population"),
-        );
-        // Flash-crowd members are withdrawn now (index-ordered, no
-        // randomness) and re-enter with whatever their initial allocation
-        // gave them — they have never gossiped.
-        sys.population.set_arrival(cfg.arrival);
-        // Re-fork the fault layer with the configured plan; forking never
-        // advances `sys.rng`, so fault-free runs stay bit-identical. The
-        // rare-token holder is crash-exempt: faults degrade dissemination,
-        // they must not destroy the content outright.
-        sys.faults = crate::faults::FaultState::new(sys.holdings.len(), cfg.faults, &sys.rng);
-        if let Allocation::RareToken { holder, .. } = sys.cfg.allocation {
-            sys.faults.exempt(holder.index());
-        }
         sys
     }
 
@@ -864,23 +848,15 @@ impl crate::scenario::Scenario for TokenSystem {
         if self.round >= self.horizon {
             return crate::scenario::StepOutcome::Done;
         }
-        self.population.begin_round(self.round);
-        self.faults.begin_round(self.round);
-        if !self.faults.just_crashed().is_empty() {
-            // State-losing crash: unlike a churned-out node, which keeps
-            // its holdings while away, a crashed node re-enters with
-            // nothing and must regather tokens from its neighbors.
-            for i in 0..self.holdings.len() {
-                if self.faults.just_crashed().contains(i) {
-                    self.holdings[i].clear();
-                }
-            }
+        // State-losing crash: unlike a churned-out node, which keeps its
+        // holdings while away, a crashed node re-enters with nothing and
+        // must regather tokens from its neighbors.
+        for i in self.env.begin_round(self.round).iter() {
+            self.holdings[i].clear();
         }
-        let observed = self
-            .schedule
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        if self.schedule.is_active(self.round, observed) {
+        if self.env.decide(self.round, |key| {
+            Self::observe(&self.holdings, &self.attacked, key)
+        }) {
             // The attack, its rng and the target buffer move out during
             // the round so the borrow checker lets the attacker inspect
             // `self.view()`; DetRng clone and Vec take are heap-free.
@@ -893,7 +869,7 @@ impl crate::scenario::Scenario for TokenSystem {
             self.attack = attack;
             self.attack_rng = attack_rng;
             for &t in &targets {
-                if self.population.is_present(t.index()) {
+                if self.env.population().is_present(t.index()) {
                     self.satiate(t);
                 }
             }
@@ -911,8 +887,8 @@ impl crate::scenario::Scenario for TokenSystem {
         TokenSystem::report(self)
     }
 
-    fn arm_trace(&self) -> Option<&[crate::adaptive::TraceEntry]> {
-        self.schedule.arm_trace()
+    fn env(&self) -> Option<&crate::env::Env> {
+        Some(&self.env)
     }
 }
 
@@ -967,17 +943,7 @@ impl crate::scenario::Summarize for TokenReport {
         if let Some(&reach) = self.token_reach.first() {
             report.set_metric("token0_reach", reach);
         }
-        // Fault metrics appear only under an active plan, keeping
-        // fault-free report output byte-identical to pre-fault runs.
-        if let Some(fc) = self.fault_counters {
-            report = report
-                .with_metric("faults_dropped", fc.dropped as f64)
-                .with_metric("faults_duplicated", fc.duplicated as f64)
-                .with_metric("faults_delayed", fc.delayed as f64)
-                .with_metric("faults_crashes", fc.crashes as f64)
-                .with_metric("faults_partition_blocked", fc.partition_blocked as f64);
-        }
-        report
+        report.with_fault_counters(self.fault_counters)
     }
 }
 

@@ -27,11 +27,12 @@ pub fn run<S: RoundSim>(sim: &mut S, rounds: Round) {
 /// Drive `sim` for `rounds` additional rounds, invoking `before` with the
 /// simulator and the round index ahead of every round.
 ///
-/// This is the generic seam for per-round environment dynamics that live
-/// outside the simulator proper — population churn
-/// (`lotus_core::population`), scheduled attack phase flips, fault
-/// injection. The hook runs before the round executes, so whatever it
-/// mutates is visible to that round.
+/// A generic pre-round hook, e.g. an attacker that acts on the
+/// start-of-round state (the legacy `TokenSystem::run` driver). The hook
+/// runs before the round executes, so whatever it mutates is visible to
+/// that round. Substrates do not take churn, faults or attack timing
+/// through this seam: those live in `lotus_core::env`, whose round start
+/// each substrate calls from inside its own round.
 pub fn run_with<S: RoundSim>(sim: &mut S, rounds: Round, mut before: impl FnMut(&mut S, Round)) {
     let start = sim.rounds_run();
     for t in start..start + rounds {
@@ -63,9 +64,8 @@ pub fn run_while<S: RoundSim>(
 /// by this call.
 ///
 /// This composes [`run_while`]'s early-stopping contract with
-/// [`run_with`]'s pre-round hook seam, so per-round environment dynamics
-/// (churn, schedule flips, fault injection) work under early-stopping
-/// drivers too. As in [`run_while`], the predicate is checked first; a
+/// [`run_with`]'s pre-round hook seam, so pre-round hooks work under
+/// early-stopping drivers too. As in [`run_while`], the predicate is checked first; a
 /// round that does not execute never sees the hook.
 pub fn run_while_with<S: RoundSim>(
     sim: &mut S,

@@ -327,17 +327,7 @@ impl lotus_core::scenario::Scenario for ReputationSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.warmup + self.cfg.rounds;
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_round(self, |s| s.round >= s.cfg.warmup + s.cfg.rounds)
     }
 
     fn report(&self) -> ReputationReport {
@@ -488,11 +478,6 @@ impl Feedable for ReputationSim {
             *r = self.cfg.threshold;
         }
         self.fed.insert(node.index());
-    }
-
-    fn step(&mut self) {
-        let t = self.round;
-        self.round(t);
     }
 }
 

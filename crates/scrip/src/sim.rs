@@ -24,20 +24,19 @@
 //! The per-round request loop is allocation-free in steady state: the
 //! eligible and available masks and the free/paid volunteer pools are
 //! scratch buffers owned by the sim struct, cleared and refilled in
-//! place each round, and the timing layer
-//! (`lotus_core::schedule`, `lotus_core::population`) adds no allocations
-//! — threshold-trigger observations come from the running request
-//! counters. Scratch contents are meaningless between rounds, and
+//! place each round, and the environment (`lotus_core::env`) adds no
+//! allocations — threshold-trigger observations come from the running
+//! request counters. Scratch contents are meaningless between rounds, and
 //! refactors here must keep reports bit-identical per seed (the
 //! determinism and schedule-golden tests are the guardrail).
 
 use crate::attack::ScripAttack;
 use crate::config::ScripConfig;
 use lotus_core::bitset::BitSet;
-use lotus_core::faults::{Fate, FaultCounters, FaultState};
-use lotus_core::population::Population;
+use lotus_core::env::{Env, EnvSpec, Role};
+use lotus_core::faults::{Fate, FaultCounters};
 use lotus_core::satiation::Satiable;
-use lotus_core::schedule::{MetricKey, ScheduleState};
+use lotus_core::schedule::MetricKey;
 use netsim::plan::{ExchangePlan, PlannedPair, READY};
 use netsim::rng::DetRng;
 use netsim::round::RoundSim;
@@ -178,15 +177,10 @@ pub struct ScripSim {
     satiated_rounds: u64,
     target_satiated_samples: u64,
     target_samples: u64,
-    /// Attack timing stepper; while off, the attacker neither tops
-    /// targets up nor bids for requests.
-    schedule_state: ScheduleState,
-    attack_active: bool,
-    /// Membership under churn; everyone present without churn.
-    population: Population,
-    /// Fault injection (crashes, lost deliveries, the partition); a
-    /// guaranteed no-op under an inactive plan.
-    faults: FaultState,
+    /// Churn, faults (crashes, lost deliveries, the partition) and
+    /// attack timing; while the attack is off, the attacker neither
+    /// tops targets up nor bids for requests.
+    env: Env,
     // Volunteer-pool scratch batches for the allocation-free request
     // loop (see module docs): each pool is an exchange plan whose
     // entries pair a volunteer with the round's requester, so the
@@ -257,15 +251,16 @@ impl ScripSim {
         }
         let target_list: Vec<u32> = targeted.iter().map(|i| i as u32).collect();
 
-        let schedule_state = ScheduleState::seeded(cfg.schedule, rng.fork("adaptive"));
-        // Forking never advances the parent, so adding the fault layer
-        // is stream-invisible to every existing draw.
-        let faults = FaultState::new(n, cfg.faults, &rng);
-        let mut population = Population::new(n, cfg.churn, rng.fork("population"));
-        // Flash-crowd agents are withdrawn now (index-ordered, no
-        // randomness) and enter with their initial balance, having never
-        // requested or served.
-        population.set_arrival(cfg.arrival);
+        // Flash-crowd agents are withdrawn now and enter with their
+        // initial balance, having never requested or served.
+        let spec = EnvSpec {
+            churn: cfg.churn,
+            arrival: cfg.arrival,
+            faults: cfg.faults,
+            schedule: cfg.schedule,
+            cutoff: None,
+        };
+        let env = Env::new(n, spec, &rng, |_| Role::Honest);
         ScripSim {
             cfg,
             attack,
@@ -281,10 +276,7 @@ impl ScripSim {
             target_list,
             eligible: BitSet::new(n),
             available: BitSet::new(n),
-            schedule_state,
-            attack_active: false,
-            population,
-            faults,
+            env,
             attacker_money: endowment,
             initial_supply: supply,
             rng,
@@ -346,33 +338,6 @@ impl ScripSim {
         self.round >= self.cfg.warmup
     }
 
-    /// Canonical-metric observation for metric-threshold schedules,
-    /// computed from the running counters (no allocation). `None` until
-    /// the counter in question has measured samples — an unmeasured
-    /// metric must not latch a threshold trigger.
-    fn observe(&self, key: MetricKey) -> Option<f64> {
-        match key {
-            MetricKey::OverallDelivery => {
-                if self.requests == 0 {
-                    None
-                } else {
-                    Some((self.served_free + self.served_paid) as f64 / self.requests as f64)
-                }
-            }
-            MetricKey::TargetedService => {
-                if self.target_samples == 0 {
-                    None
-                } else {
-                    Some(self.target_satiated_samples as f64 / self.target_samples as f64)
-                }
-            }
-            // Live membership state, not a service counter.
-            MetricKey::PresentFraction => Some(self.population.present_fraction()),
-            // The bank economy has no silence cut-off defense to report.
-            MetricKey::FalseCutRate => None,
-        }
-    }
-
     /// Attack phase: top every target up to its threshold while the war
     /// chest lasts. Conservation: every unit moved comes from the chest.
     fn attack_phase(&mut self) {
@@ -385,7 +350,7 @@ impl ScripSim {
         for &ti in &self.target_list {
             let i = ti as usize;
             // A crashed target cannot be topped up, same as an absent one.
-            if !self.population.is_present(i) || self.faults.is_down(i) {
+            if !self.env.is_live(i) {
                 continue;
             }
             let need = u64::from(self.threshold[i]).saturating_sub(self.money[i]);
@@ -402,21 +367,19 @@ impl ScripSim {
         let mut rng = self.rng.fork_idx("round", self.round);
         let requester = rng.index(n);
         let special = rng.chance(self.cfg.special_request_prob);
-        if !self.population.is_present(requester) {
-            return; // the drawn requester is offline: no request this round
-        }
-        if self.faults.is_down(requester) {
-            return; // a crashed requester cannot request either
+        if !self.env.is_live(requester) {
+            return; // the drawn requester is offline or crashed: no request
         }
 
         // Eligible volunteers: the live agents (present ∧ ¬down) other
         // than the requester that it can reach across the partition, each
         // cut-off agent counted once as a blocked link. Each eligible
         // agent then flips its availability coin, in ascending order.
-        self.eligible.copy_from(self.population.present());
-        self.eligible.subtract(self.faults.down_mask());
+        self.env.live_into(&mut self.eligible);
         self.eligible.remove(requester);
-        self.faults.retain_reachable(requester, &mut self.eligible);
+        self.env
+            .faults_mut()
+            .retain_reachable(requester, &mut self.eligible);
         self.available
             .sample_from(&self.eligible, self.cfg.availability, &mut rng);
 
@@ -451,7 +414,7 @@ impl ScripSim {
         // honest providers ("providing cheap service", §1): a rational
         // requester prefers him whenever he bids, which both funds the
         // attack and starves honest agents of income.
-        let attacker_bids = !special && self.attack_active && self.attack.provides();
+        let attacker_bids = !special && self.env.attack_active() && self.attack.provides();
 
         let measured = self.measured();
         if measured {
@@ -466,7 +429,7 @@ impl ScripSim {
             // Free service still rides the network: a lost delivery
             // means the requester got nothing (and the altruist's effort
             // is wasted — no served credit for a unit never received).
-            if self.faults.fate(p, requester) == Fate::Drop {
+            if self.env.faults_mut().fate(p, requester) == Fate::Drop {
                 if measured {
                     self.failed_faulted += 1;
                 }
@@ -498,7 +461,7 @@ impl ScripSim {
             let p = e.initiator.index();
             // Payment on delivery: a lost shipment voids the sale — no
             // goods, no money movement, so the supply stays conserved.
-            if self.faults.fate(p, requester) == Fate::Drop {
+            if self.env.faults_mut().fate(p, requester) == Fate::Drop {
                 if measured {
                     self.failed_faulted += 1;
                 }
@@ -632,11 +595,7 @@ impl ScripSim {
             gini: gini(&rationals),
             attacker_money: self.attacker_money,
             total_money: self.total_money(),
-            fault_counters: if self.faults.is_active() {
-                Some(self.faults.counters())
-            } else {
-                None
-            },
+            fault_counters: self.env.fault_counters(),
         }
     }
 }
@@ -645,25 +604,24 @@ impl RoundSim for ScripSim {
     // lint: hot-loop
     fn round(&mut self, t: Round) {
         debug_assert_eq!(t, self.round, "rounds must be sequential");
-        self.population.begin_round(t);
-        self.faults.begin_round(t);
-        if !self.faults.just_crashed().is_empty() {
-            // State-losing crash: the agent forgets its learned threshold
-            // and interval bookkeeping, but keeps its balance — scrip is
-            // a bank ledger, so crashes conserve the money supply.
-            let initial = self.cfg.initial_threshold;
-            for i in self.faults.just_crashed().iter() {
-                self.threshold[i] = initial;
-                self.broke_failures[i] = 0;
-                self.free_received[i] = 0;
-            }
+        // State-losing crash: the agent forgets its learned threshold and
+        // interval bookkeeping, but keeps its balance — scrip is a bank
+        // ledger, so crashes conserve the money supply.
+        for i in self.env.begin_round(t).iter() {
+            self.threshold[i] = self.cfg.initial_threshold;
+            self.broke_failures[i] = 0;
+            self.free_received[i] = 0;
         }
-        let observed = self
-            .schedule_state
-            .needs_observation()
-            .and_then(|k| self.observe(k));
-        self.attack_active = self.schedule_state.is_active(t, observed);
-        if self.attack_active {
+        // Threshold observations come from the running counters (no
+        // allocation), absent until the counter in question has measured
+        // samples — an unmeasured metric must not latch a trigger.
+        let ratio = |num: u64, den: u64| (den > 0).then(|| num as f64 / den as f64);
+        let active = self.env.decide(t, |key| match key {
+            MetricKey::OverallDelivery => ratio(self.served_free + self.served_paid, self.requests),
+            MetricKey::TargetedService => ratio(self.target_satiated_samples, self.target_samples),
+            _ => None,
+        });
+        if active {
             self.attack_phase();
         }
         self.request_round();
@@ -688,25 +646,15 @@ impl lotus_core::scenario::Scenario for ScripSim {
     }
 
     fn step(&mut self) -> lotus_core::scenario::StepOutcome {
-        let total = self.cfg.warmup + self.cfg.rounds;
-        if self.round >= total {
-            return lotus_core::scenario::StepOutcome::Done;
-        }
-        let t = self.round;
-        RoundSim::round(self, t);
-        if self.round >= total {
-            lotus_core::scenario::StepOutcome::Done
-        } else {
-            lotus_core::scenario::StepOutcome::Continue
-        }
+        lotus_core::scenario::step_round(self, |s| s.round >= s.cfg.warmup + s.cfg.rounds)
     }
 
     fn report(&self) -> ScripReport {
         ScripSim::report(self)
     }
 
-    fn arm_trace(&self) -> Option<&[lotus_core::adaptive::TraceEntry]> {
-        self.schedule_state.arm_trace()
+    fn env(&self) -> Option<&Env> {
+        Some(&self.env)
     }
 }
 
@@ -719,7 +667,7 @@ impl lotus_core::scenario::Summarize for ScripReport {
     ///   (0 when the attack has no targets);
     /// * `usable` — a functioning market: most requests get served.
     fn summarize(&self) -> lotus_core::scenario::ScenarioReport {
-        let mut report = lotus_core::scenario::ScenarioReport::new(
+        let report = lotus_core::scenario::ScenarioReport::new(
             "scrip",
             self.rounds,
             self.service_rate,
@@ -742,16 +690,12 @@ impl lotus_core::scenario::Summarize for ScripReport {
         .with_metric("target_satiation", self.target_satiation.unwrap_or(0.0));
         // Fault metrics appear only under an active plan, keeping
         // fault-free report output byte-identical to pre-fault runs.
-        if let Some(fc) = self.fault_counters {
-            report = report
-                .with_metric("fail_faulted_rate", self.fail_faulted_rate)
-                .with_metric("faults_dropped", fc.dropped as f64)
-                .with_metric("faults_duplicated", fc.duplicated as f64)
-                .with_metric("faults_delayed", fc.delayed as f64)
-                .with_metric("faults_crashes", fc.crashes as f64)
-                .with_metric("faults_partition_blocked", fc.partition_blocked as f64);
+        let report = report.with_fault_counters(self.fault_counters);
+        if self.fault_counters.is_some() {
+            report.with_metric("fail_faulted_rate", self.fail_faulted_rate)
+        } else {
+            report
         }
-        report
     }
 }
 
@@ -764,11 +708,6 @@ impl lotus_core::satiation::Feedable for ScripSim {
     fn feed_fully(&mut self, node: NodeId) {
         let i = node.index();
         self.money[i] = self.money[i].max(u64::from(self.threshold[i]));
-    }
-
-    fn step(&mut self) {
-        let t = self.round;
-        RoundSim::round(self, t);
     }
 }
 
