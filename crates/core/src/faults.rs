@@ -305,9 +305,9 @@ impl FaultPlan {
 /// The substrate environment ([`crate::env::Env`]) calls
 /// [`FaultState::begin_round`] once per round, right after
 /// `Population::begin_round`; simulators scan
-/// [`FaultState::just_crashed`] to cold-reset crashed nodes, gate interactions on
-/// [`FaultState::is_down`] / [`FaultState::link_ok`], and draw a
-/// [`Fate`] per directed delivery at the exchange seam.
+/// [`FaultState::just_crashed`] to cold-reset crashed nodes, gate
+/// interactions on [`FaultState::is_down`] / [`FaultState::link_ok`],
+/// and draw a [`Fate`] per directed delivery at the exchange seam.
 ///
 /// ```
 /// use lotus_core::faults::{Fate, FaultPlan, FaultState};

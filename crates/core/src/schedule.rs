@@ -388,9 +388,9 @@ impl ScheduleState {
     /// seeds it from a fixed stream, so two runs differing only in their
     /// master seed would explore identically. The substrate environment
     /// ([`crate::env::Env`]) uses [`ScheduleState::seeded`] with a
-    /// dedicated fork of the substrate's rng instead; `new` is for schedule-only contexts (tests, the
-    /// always-on defaults) and non-adaptive specs, where the two
-    /// constructors coincide.
+    /// dedicated fork of the substrate's rng instead; `new` is for
+    /// schedule-only contexts (tests, the always-on defaults) and
+    /// non-adaptive specs, where the two constructors coincide.
     pub fn new(spec: AttackSchedule) -> Self {
         ScheduleState::seeded(spec, netsim::rng::DetRng::seed_from(0).fork("adaptive"))
     }

@@ -28,9 +28,9 @@ pub fn run<S: RoundSim>(sim: &mut S, rounds: Round) {
 /// simulator and the round index ahead of every round.
 ///
 /// A generic pre-round hook, e.g. an attacker that acts on the
-/// start-of-round state (the legacy `TokenSystem::run` driver). The hook
-/// runs before the round executes, so whatever it mutates is visible to
-/// that round. Substrates do not take churn, faults or attack timing
+/// start-of-round state (the legacy `TokenSystem::run` entry point). The
+/// hook runs before the round executes, so whatever it mutates is
+/// visible to that round. Substrates do not take churn, faults or attack timing
 /// through this seam: those live in `lotus_core::env`, whose round start
 /// each substrate calls from inside its own round.
 pub fn run_with<S: RoundSim>(sim: &mut S, rounds: Round, mut before: impl FnMut(&mut S, Round)) {
@@ -65,8 +65,8 @@ pub fn run_while<S: RoundSim>(
 ///
 /// This composes [`run_while`]'s early-stopping contract with
 /// [`run_with`]'s pre-round hook seam, so pre-round hooks work under
-/// early-stopping drivers too. As in [`run_while`], the predicate is checked first; a
-/// round that does not execute never sees the hook.
+/// early stopping too. As in [`run_while`], the predicate is
+/// checked first; a round that does not execute never sees the hook.
 pub fn run_while_with<S: RoundSim>(
     sim: &mut S,
     max_rounds: Round,
