@@ -8,8 +8,8 @@
 //! completion and returns the common-vocabulary [`ScenarioReport`];
 //! the `--bench` timing mode steps the same factory under a timer. The
 //! [`ScenarioRegistry`] is the name → spec map behind the `lotus-bench`
-//! CLI and every `ext_*`/`fig*` shim binary; experiment logic that used
-//! to be copy-pasted across 18 binaries lives here exactly once.
+//! CLI and its `--preset` figures; experiment logic lives here exactly
+//! once.
 //!
 //! ```
 //! use lotus_bench::registry::{Params, RunRequest, ScenarioRegistry};

@@ -1,7 +1,7 @@
-//! The unified experiment runner behind the `lotus-bench` binary and
-//! every `fig*`/`ext_*` shim.
+//! The unified experiment runner behind the `lotus-bench` binary.
 //!
-//! One CLI drives any registered scenario:
+//! One CLI drives any registered scenario, and `--preset NAME` replays a
+//! paper figure or extension experiment from the preset table:
 //!
 //! ```text
 //! lotus-bench --scenario bar-gossip --attack trade --format json
@@ -9,13 +9,14 @@
 //!             --fraction-grid 0:1 --seeds 5
 //! lotus-bench --scenario token --sweep altruism --fraction-grid 0:0.5 \
 //!             --curve "random-fraction,fraction=0.5" --curve none
+//! lotus-bench --preset fig2 --quick
 //! lotus-bench --list
 //! ```
 //!
 //! Every evaluation goes through
 //! [`ScenarioRegistry::run`](crate::registry::ScenarioRegistry::run) —
 //! i.e. through the unified `Scenario` API — and is replicated across
-//! seeds by the `lotus-core` sweep harness, so the CLI, the shims and
+//! seeds by the `lotus-core` sweep harness, so the CLI, the presets and
 //! ad-hoc library sweeps all produce identical numbers for identical
 //! inputs.
 
@@ -211,10 +212,8 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             "--fraction-grid" => {
                 let v = take("--fraction-grid")?;
                 let parts: Vec<&str> = v.split(':').collect();
-                let parse = |s: &str| {
-                    s.parse::<f64>()
-                        .map_err(|_| format!("bad grid bound {s:?} in {v:?}"))
-                };
+                let parse =
+                    |s: &str| finite(s).ok_or_else(|| format!("bad grid bound {s:?} in {v:?}"));
                 let (lo, hi, points) = match parts.as_slice() {
                     [lo, hi] => (parse(lo)?, parse(hi)?, None),
                     [lo, hi, n] => (
@@ -239,11 +238,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = take("--x-values")?;
                 let xs: Result<Vec<f64>, String> = v
                     .split(',')
-                    .map(|s| {
-                        s.trim()
-                            .parse::<f64>()
-                            .map_err(|_| format!("bad x value {s:?}"))
-                    })
+                    .map(|s| finite(s.trim()).ok_or_else(|| format!("bad x value {s:?}")))
                     .collect();
                 opts.x_values = Some(xs?);
             }
@@ -321,9 +316,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
                 }
             }
             "--threshold" => {
-                opts.threshold = take("--threshold")?
-                    .parse::<f64>()
-                    .map_err(|_| "bad --threshold value".to_string())?
+                opts.threshold = finite(take("--threshold")?).ok_or("bad --threshold value")?
             }
             "--title" => opts.title = Some(take("--title")?.to_string()),
             "--x-label" => opts.x_label = Some(take("--x-label")?.to_string()),
@@ -353,14 +346,24 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
     Ok(opts)
 }
 
+/// `s` as a finite number: sweep bounds, x values and thresholds reject
+/// `nan` and `inf`, which `f64::from_str` accepts.
+fn finite(s: &str) -> Option<f64> {
+    s.parse::<f64>().ok().filter(|x| x.is_finite())
+}
+
 /// CLI usage text.
 pub const USAGE: &str = "\
 usage: lotus-bench --scenario NAME [--attack A[,B,...]] [options]
+       lotus-bench --preset NAME [options]
        lotus-bench --bench [--scenario NAME] [options]
        lotus-bench --bench-scale [options]
        lotus-bench --list
 
 options:
+  --preset NAME         a paper figure or experiment: table1, fig1..fig3 or
+                        ext_* (see EXPERIMENTS.md); the other options act
+                        on top of its arguments
   --scenario NAME       scenario to run (see --list)
   --attack A[,B,...]    one curve per attack name
   --curve SPEC          curve with overrides: attack[,key=value]*
@@ -1345,11 +1348,23 @@ pub fn render_list(registry: &ScenarioRegistry) -> String {
 
 /// Parse + evaluate + render: the whole CLI as a function (testable).
 ///
+/// `--preset NAME` expands to the named figure preset's argv, followed
+/// by every other argument in order, wherever `--preset` appears.
+///
 /// # Errors
 ///
 /// Propagates parse, validation and configuration errors as messages.
 pub fn run_args(args: &[String]) -> Result<String, String> {
-    let opts = parse_args(args)?;
+    if let Some(at) = args.iter().position(|a| a == "--preset") {
+        let name = args.get(at + 1).ok_or("flag --preset needs a value")?;
+        let rest: Vec<String> = [&args[..at], &args[at + 2..]].concat();
+        return crate::preset::find(name)?.run(&rest);
+    }
+    run_options(&parse_args(args)?)
+}
+
+/// Evaluate and render parsed options: [`run_args`] after the parse.
+pub(crate) fn run_options(opts: &Options) -> Result<String, String> {
     if opts.help {
         return Ok(format!("{USAGE}\n"));
     }
@@ -1358,52 +1373,15 @@ pub fn run_args(args: &[String]) -> Result<String, String> {
         return Ok(render_list(&registry));
     }
     if opts.bench_scale {
-        let scale = evaluate_bench_scale(&registry, &opts)?;
-        return Ok(render_bench_scale(&scale, &opts));
+        let scale = evaluate_bench_scale(&registry, opts)?;
+        return Ok(render_bench_scale(&scale, opts));
     }
     if opts.bench {
-        let bench = evaluate_bench(&registry, &opts)?;
-        return Ok(render_bench(&bench, &opts));
+        let bench = evaluate_bench(&registry, opts)?;
+        return Ok(render_bench(&bench, opts));
     }
-    let figure = evaluate(&registry, &opts)?;
-    Ok(render_figure(&figure, &opts))
-}
-
-/// Whether the current process was asked for JSON output (used by shims
-/// to suppress their prose epilogues).
-pub fn json_requested() -> bool {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .any(|w| w[0] == "--format" && w[1] == "json")
-}
-
-/// Run a shim-binary preset: the preset arguments first, then the
-/// process arguments (so `--quick`, `--seeds`, `--format json` and extra
-/// `--param`s work on every `fig*`/`ext_*` binary), then the epilogue
-/// lines (suppressed for JSON output). Exits with status 2 on errors
-/// (CLI semantics).
-pub fn run_shim(preset_args: &[&str], epilogue: &[&str]) {
-    let mut args: Vec<String> = preset_args.iter().map(|s| (*s).to_string()).collect();
-    args.extend(std::env::args().skip(1));
-    // Decide from the merged (preset + process) arguments, exactly as the
-    // parser will see them.
-    let json = args
-        .windows(2)
-        .any(|w| w[0] == "--format" && w[1] == "json");
-    match run_args(&args) {
-        Ok(out) => {
-            print!("{out}");
-            if !json {
-                for line in epilogue {
-                    println!("{line}");
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
+    let figure = evaluate(&registry, opts)?;
+    Ok(render_figure(&figure, opts))
 }
 
 #[cfg(test)]
@@ -1448,6 +1426,37 @@ mod tests {
             "--quick"
         ]))
         .is_err());
+    }
+
+    /// A bar-gossip trade sweep with `extra` appended.
+    fn trade_with(extra: &[&str]) -> Result<String, String> {
+        let mut list = vec!["--scenario", "bar-gossip", "--attack", "trade"];
+        list.extend(extra);
+        run_args(&args(&list))
+    }
+
+    #[test]
+    fn non_finite_grid_bounds_are_rejected() {
+        for grid in ["0:nan", "nan:1", "0:inf", "-inf:0", "0:NaN:3"] {
+            let err = trade_with(&["--fraction-grid", grid]).unwrap_err();
+            assert!(err.contains("bad grid bound"), "{grid}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_x_values_are_rejected() {
+        for xs in ["nan", "inf", "0,-inf", "0.1,NaN"] {
+            let err = trade_with(&["--x-values", xs]).unwrap_err();
+            assert!(err.contains("bad x value"), "{xs}: {err}");
+        }
+    }
+
+    #[test]
+    fn non_finite_thresholds_are_rejected() {
+        for t in ["nan", "inf", "-inf"] {
+            let err = trade_with(&["--threshold", t]).unwrap_err();
+            assert_eq!(err, "bad --threshold value", "{t}");
+        }
     }
 
     #[test]

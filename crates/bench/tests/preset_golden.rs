@@ -1,12 +1,13 @@
 //! Byte-for-byte goldens of every figure preset.
 //!
-//! `preset_golden.txt` holds the FNV-1a 64 digest of each preset's stdout
-//! for `NAME --quick --seeds 1`, once as a table and once with
-//! `--format json`. Any change to a preset's argv, epilogue, coverage
-//! line or to the numbers under it changes a digest.
+//! `preset_golden.txt` holds the FNV-1a 64 digest of each preset's output
+//! for `--preset NAME --quick --seeds 1`, once as a table and once with
+//! `--format json`. The digests were taken from the one-binary-per-figure
+//! layout the preset table replaced, so they also pin that each preset
+//! prints what its binary printed. Any change to a preset's argv,
+//! epilogue, coverage line or to the numbers under it changes a digest.
 
-use std::path::Path;
-use std::process::Command;
+use lotus_bench::runner::run_args;
 
 /// 64-bit FNV-1a of `bytes`.
 fn fnv64(bytes: &[u8]) -> u64 {
@@ -29,16 +30,16 @@ fn pinned(name: &str, format: &str) -> u64 {
         .unwrap_or_else(|| panic!("no pinned {format} digest for {name}"))
 }
 
-/// The preset's stdout for `--quick --seeds 1` plus `extra`.
+/// The preset's output for `--quick --seeds 1` plus `extra`.
 fn output(name: &str, extra: &[&str]) -> Vec<u8> {
-    let bin = Path::new(env!("CARGO_BIN_EXE_lotus-bench")).with_file_name(name);
-    let out = Command::new(&bin)
-        .args(["--quick", "--seeds", "1"])
-        .args(extra)
-        .output()
-        .unwrap_or_else(|e| panic!("failed to launch {}: {e}", bin.display()));
-    assert!(out.status.success(), "{name} exited with {:?}", out.status);
-    out.stdout
+    let args: Vec<String> = ["--preset", name, "--quick", "--seeds", "1"]
+        .iter()
+        .chain(extra)
+        .map(|a| (*a).to_string())
+        .collect();
+    run_args(&args)
+        .unwrap_or_else(|e| panic!("preset {name} failed: {e}"))
+        .into_bytes()
 }
 
 fn check(name: &str) {

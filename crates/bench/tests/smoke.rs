@@ -1,28 +1,19 @@
-//! Smoke tests: the figure binaries run end-to-end in `--quick` mode and
-//! print the blocks the harness promises (CSV, chart, conclusions).
+//! Smoke tests: the figure presets run end-to-end through the
+//! `lotus-bench` binary in `--quick` mode and print the blocks the
+//! harness promises (CSV, chart, conclusions).
 //!
-//! Only the light binaries are exercised here — the full sweeps live in
+//! Only the light presets are exercised here — the full sweeps live in
 //! `results/` and EXPERIMENTS.md.
 
 use std::process::Command;
 
-fn run_quick(bin: &str) -> String {
-    let out = Command::new(bin)
-        .arg("--quick")
-        .output()
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-    assert!(
-        out.status.success(),
-        "{bin} exited with {:?}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    String::from_utf8(out.stdout).expect("binaries print UTF-8")
+fn run_quick(preset: &str) -> String {
+    run_runner(&["--preset", preset, "--quick"])
 }
 
 #[test]
 fn table1_prints_the_paper_parameters() {
-    let out = run_quick(env!("CARGO_BIN_EXE_table1"));
+    let out = run_quick("table1");
     for needle in [
         "TABLE 1",
         "Number of Nodes       | 250",
@@ -37,7 +28,7 @@ fn table1_prints_the_paper_parameters() {
 
 #[test]
 fn ext_rare_prints_series_and_conclusion() {
-    let out = run_quick(env!("CARGO_BIN_EXE_ext_rare"));
+    let out = run_quick("ext_rare");
     assert!(out.contains("series,x,y"), "CSV block missing");
     assert!(out.contains("no attack"), "clean series missing");
     assert!(
@@ -49,7 +40,7 @@ fn ext_rare_prints_series_and_conclusion() {
 
 #[test]
 fn ext_coding_shows_the_collapse_at_zero_redundancy() {
-    let out = run_quick(env!("CARGO_BIN_EXE_ext_coding"));
+    let out = run_quick("ext_coding");
     assert!(
         out.contains("rare-token attack,0.0000,0.0000"),
         "collect-all must be fully denied:\n{out}"
@@ -168,10 +159,10 @@ fn runner_schedule_and_churn_flags_run_end_to_end() {
 
 #[test]
 fn oscillating_and_churn_presets_run_in_quick_mode() {
-    let osc = run_quick(env!("CARGO_BIN_EXE_ext_oscillating"));
+    let osc = run_quick("ext_oscillating");
     assert!(osc.contains("Oscillating lotus-eater"), "{osc}");
     assert!(osc.contains("oscillating trade attack"), "{osc}");
-    let churn = run_quick(env!("CARGO_BIN_EXE_ext_churn"));
+    let churn = run_quick("ext_churn");
     assert!(churn.contains("Churn-gossip"), "{churn}");
     assert!(churn.contains("trade attack at 22%"), "{churn}");
 }
@@ -180,28 +171,19 @@ fn oscillating_and_churn_presets_run_in_quick_mode() {
 fn adaptive_preset_runs_in_quick_mode_and_prints_arm_traces() {
     // X17 at full scale is a long sweep; shrink it through the ordinary
     // pass-through arguments (every preset accepts them).
-    let bin = env!("CARGO_BIN_EXE_ext_adaptive");
-    let out = Command::new(bin)
-        .args([
-            "--quick",
-            "--seeds",
-            "1",
-            "--x-values",
-            "0,0.5",
-            "--param",
-            "nodes=60",
-            "--param",
-            "rounds=60",
-        ])
-        .output()
-        .unwrap_or_else(|e| panic!("failed to launch {bin}: {e}"));
-    assert!(
-        out.status.success(),
-        "ext_adaptive exited with {:?}: {}",
-        out.status,
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let out = String::from_utf8(out.stdout).expect("UTF-8");
+    let out = run_runner(&[
+        "--preset",
+        "ext_adaptive",
+        "--quick",
+        "--seeds",
+        "1",
+        "--x-values",
+        "0,0.5",
+        "--param",
+        "nodes=60",
+        "--param",
+        "rounds=60",
+    ]);
     assert!(out.contains("Adaptive bandit attackers"), "{out}");
     assert!(out.contains("adaptive epsilon-greedy"), "{out}");
     assert!(out.contains("Arm trace — adaptive UCB1"), "{out}");
@@ -363,4 +345,18 @@ fn runner_rejects_unknown_scenarios_with_status_2() {
         .expect("launches");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown scenario"));
+}
+
+#[test]
+fn runner_rejects_unknown_presets_with_status_2_and_lists_them() {
+    let out = Command::new(env!("CARGO_BIN_EXE_lotus-bench"))
+        .args(["--preset", "fig4", "--quick"])
+        .output()
+        .expect("launches");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown preset \"fig4\""), "{stderr}");
+    for name in ["table1", "fig1", "fig3", "ext_altruism", "ext_digest"] {
+        assert!(stderr.contains(name), "missing {name} in:\n{stderr}");
+    }
 }

@@ -6,7 +6,7 @@
 //! options parameter by parameter: cuts exploiting the graph `G`, rare
 //! tokens exploiting the allocation `f`, and mass satiation to depress the
 //! effective trade-opportunity budget `c`. Each of those is a strategy
-//! here; the bench binaries sweep them (experiments X1–X3, X10).
+//! here; the bench presets sweep them (experiments X1–X3, X10).
 
 use crate::token::SystemView;
 use netsim::rng::DetRng;

@@ -42,7 +42,7 @@ impl Default for UsabilityThreshold {
 }
 
 /// A paper-vs-measured record for one experiment curve, as written into
-/// EXPERIMENTS.md by the bench binaries.
+/// EXPERIMENTS.md by the bench presets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CrossoverRecord {
     /// Curve label (e.g. `"Trade lotus-eater attack"`).

@@ -114,34 +114,6 @@ impl PartnerSchedule {
         }
     }
 
-    /// Batched partner selection for an explicit initiator set: clears
-    /// `out` and pushes the partner of each node `nodes` yields, in
-    /// yield order — bit-identical to calling
-    /// [`PartnerSchedule::partner_of`] per node.
-    ///
-    /// This is a thin alias over the exchange-plan path (see
-    /// [`PartnerSchedule::planner`] and `crate::plan`): the same
-    /// hoisted per-round mixing the batched [`PairPlanner::fill`]
-    /// uses, emitting bare partners instead of flagged pairs for the
-    /// callers (and tests) that pin this signature. Allocation-free
-    /// once `out` has capacity.
-    ///
-    /// [`PairPlanner::fill`]: crate::plan::PairPlanner::fill
-    // lint: hot-loop
-    pub fn sample_active_into(
-        &self,
-        round: Round,
-        proto: Protocol,
-        nodes: impl IntoIterator<Item = NodeId>,
-        out: &mut Vec<NodeId>,
-    ) {
-        out.clear();
-        let planner = self.planner(round, proto);
-        for node in nodes {
-            out.push(planner.partner_of(node));
-        }
-    }
-
     /// All initiations for a round under `proto`: `(initiator, partner)`
     /// pairs in node order.
     pub fn round_pairs(
@@ -231,29 +203,6 @@ mod tests {
         // Expect ~210 per other node.
         for (i, &c) in counts.iter().enumerate().skip(1) {
             assert!((130..300).contains(&c), "node {i} chosen {c} times");
-        }
-    }
-
-    #[test]
-    fn sample_active_into_matches_partner_of() {
-        let s = PartnerSchedule::new(23, 97);
-        let mut out = Vec::new();
-        for round in 0..50 {
-            for proto in [
-                Protocol::BalancedExchange,
-                Protocol::OptimisticPush,
-                Protocol::Other(3),
-            ] {
-                // An arbitrary sparse "active" subset, ascending.
-                let active: Vec<NodeId> = NodeId::all(97)
-                    .filter(|v| v.0 % 7 == round as u32 % 7)
-                    .collect();
-                s.sample_active_into(round, proto, active.iter().copied(), &mut out);
-                assert_eq!(out.len(), active.len());
-                for (v, p) in active.iter().zip(&out) {
-                    assert_eq!(*p, s.partner_of(*v, round, proto), "{v:?} round {round}");
-                }
-            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! ASCII line plots for terminal figure output.
 //!
 //! The paper's figures are line charts (delivered fraction vs attacker
-//! fraction). The bench binaries print both a CSV of the series and an
+//! fraction). The bench presets print both a CSV of the series and an
 //! ASCII rendering so the shape is visible directly in a terminal log.
 
 use crate::metrics::Series;

@@ -1,6 +1,6 @@
 //! Aligned text tables and CSV output.
 //!
-//! The figure-regeneration binaries print the same rows/series the paper
+//! The figure-regeneration presets print the same rows/series the paper
 //! reports; this module renders them as aligned terminal tables and as CSV
 //! for downstream plotting.
 
