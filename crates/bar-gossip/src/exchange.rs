@@ -1,7 +1,8 @@
 //! The two gossip sub-protocols: balanced exchange and optimistic push.
 //!
-//! These are pure functions from a pair of update windows to a transfer
-//! plan; the simulator applies the plan, meters bandwidth and runs the
+//! These are pure functions from a pair of window rows (of one
+//! [`WindowSlab`](crate::update::WindowSlab)) to a transfer plan; the
+//! simulator applies the plan, meters bandwidth and runs the
 //! excess-service check. Keeping them pure makes the exchange arithmetic
 //! directly testable — including the properties the attack relies on:
 //!
@@ -12,7 +13,7 @@
 //!   needs, topped up with junk) back, so a rational node with no missing
 //!   old updates never initiates one.
 
-use crate::update::{UpdateId, WindowSet};
+use crate::update::{UpdateId, WindowRow};
 use netsim::Round;
 
 /// Transfer plan of a balanced exchange.
@@ -32,36 +33,31 @@ impl BalancedOutcome {
 }
 
 /// Compute a balanced exchange between `initiator` and `responder` at
-/// round `now`.
+/// round `now`, into a caller-owned outcome (buffers cleared first, so
+/// per-round hot loops reuse the allocations).
 ///
 /// Both sides hand over as many live updates as possible one-for-one
 /// (oldest — closest to expiry — first). With `unbalanced` (the Figure 3
 /// defense) a node receiving at least one update is willing to give one
 /// extra, so the needier side receives `min + 1` where available.
 /// `rate_limit` caps each direction (the X9 defense).
-pub fn balanced_exchange(
-    initiator: &WindowSet,
-    responder: &WindowSet,
-    now: Round,
-    unbalanced: bool,
-    rate_limit: Option<u32>,
-) -> BalancedOutcome {
-    let mut out = BalancedOutcome::default();
-    balanced_exchange_into(initiator, responder, now, unbalanced, rate_limit, &mut out);
-    out
-}
-
-/// [`balanced_exchange`] into a caller-owned outcome (buffers cleared
-/// first), so per-round hot loops can reuse the allocations.
 pub fn balanced_exchange_into(
-    initiator: &WindowSet,
-    responder: &WindowSet,
+    initiator: WindowRow<'_>,
+    responder: WindowRow<'_>,
     now: Round,
     unbalanced: bool,
     rate_limit: Option<u32>,
     out: &mut BalancedOutcome,
 ) {
     let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
+    if initiator.is_empty() {
+        // The initiator has nothing to give, so it receives nothing
+        // either — without reading the responder's row (at flash-crowd
+        // scale most initiators are fresh).
+        out.to_initiator.clear();
+        out.to_responder.clear();
+        return;
+    }
     // m: what the initiator could receive; n: what the responder could.
     let m = initiator.missing_from(responder);
     let n = responder.missing_from(initiator);
@@ -109,29 +105,11 @@ impl PushOutcome {
 /// update taken: old updates the initiator needs while it has them, junk
 /// after that. If the responder wants nothing, nothing happens. The push
 /// is *optimistic* because the initiator may be paid entirely in junk.
-#[allow(clippy::too_many_arguments)]
-pub fn optimistic_push(
-    initiator: &WindowSet,
-    responder: &WindowSet,
-    now: Round,
-    push_size: u32,
-    old_age: u32,
-    recent_age: u32,
-    rate_limit: Option<u32>,
-) -> PushOutcome {
-    let mut out = PushOutcome::default();
-    optimistic_push_into(
-        initiator, responder, now, push_size, old_age, recent_age, rate_limit, &mut out,
-    );
-    out
-}
-
-/// [`optimistic_push`] into a caller-owned outcome (buffers cleared
-/// first), so per-round hot loops can reuse the allocations.
+/// The outcome's buffers are cleared first, so hot loops reuse them.
 #[allow(clippy::too_many_arguments)]
 pub fn optimistic_push_into(
-    initiator: &WindowSet,
-    responder: &WindowSet,
+    initiator: WindowRow<'_>,
+    responder: WindowRow<'_>,
     now: Round,
     push_size: u32,
     old_age: u32,
@@ -141,8 +119,12 @@ pub fn optimistic_push_into(
 ) {
     let cap = rate_limit.map_or(usize::MAX, |c| c as usize);
     let take = (push_size as usize).min(cap);
-    // Recents the responder lacks, from the initiator's offer.
-    responder.wanted_from_into(initiator, now, take, 0, recent_age, &mut out.to_responder);
+    // Recents the responder lacks, from the initiator's offer. An empty
+    // initiator offers nothing; the responder's row is not even read.
+    out.to_responder.clear();
+    if !initiator.is_empty() {
+        responder.wanted_from_into(initiator, now, take, 0, recent_age, &mut out.to_responder);
+    }
     if out.to_responder.is_empty() {
         out.useful_to_initiator.clear();
         out.junk_to_initiator = 0;
@@ -163,7 +145,12 @@ pub fn optimistic_push_into(
 
 /// Whether the initiator has any reason to start an optimistic push: it is
 /// rational to initiate only when missing old (soon-expiring) updates.
-pub fn wants_push(node: &WindowSet, reference_full: &WindowSet, now: Round, old_age: u32) -> bool {
+pub fn wants_push(
+    node: WindowRow<'_>,
+    reference_full: WindowRow<'_>,
+    now: Round,
+    old_age: u32,
+) -> bool {
     node.missing_in_age_band(reference_full, now, old_age, u32::MAX) > 0
 }
 
@@ -182,29 +169,44 @@ pub fn is_excessive_service(given: usize, received: usize, slack: u32) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::update::WindowSlab;
 
-    /// Build an aligned pair of windows at `now`, holding the given ids.
-    fn pair(now: Round, a: &[(u64, u32)], b: &[(u64, u32)]) -> (WindowSet, WindowSet, Round) {
-        let mut wa = WindowSet::new(16, 8);
-        let mut wb = WindowSet::new(16, 8);
+    /// Two aligned windows at `now` (row 0 the initiator, row 1 the
+    /// responder), holding the given ids.
+    fn pair(now: Round, a: &[(u64, u32)], b: &[(u64, u32)]) -> (WindowSlab, Round) {
+        let mut w = WindowSlab::new(2, 16, 8);
         for t in 0..=now {
-            wa.advance(t);
-            wb.advance(t);
+            if let Some((_, slot)) = w.expiring() {
+                w.take(0, slot);
+                w.take(1, slot);
+            }
+            w.advance(t);
         }
-        for &(round, slot) in a {
-            wa.insert(UpdateId { round, slot });
+        for (row, ids) in [a, b].into_iter().enumerate() {
+            for &(round, slot) in ids {
+                w.insert(row, UpdateId { round, slot });
+            }
         }
-        for &(round, slot) in b {
-            wb.insert(UpdateId { round, slot });
-        }
-        (wa, wb, now)
+        (w, now)
+    }
+
+    fn balanced(w: &WindowSlab, now: Round, unbalanced: bool, cap: Option<u32>) -> BalancedOutcome {
+        let mut out = BalancedOutcome::default();
+        balanced_exchange_into(w.row(0), w.row(1), now, unbalanced, cap, &mut out);
+        out
+    }
+
+    fn push(w: &WindowSlab, now: Round, push_size: u32, cap: Option<u32>) -> PushOutcome {
+        let mut out = PushOutcome::default();
+        optimistic_push_into(w.row(0), w.row(1), now, push_size, 4, 1, cap, &mut out);
+        out
     }
 
     #[test]
     fn balanced_exchange_is_one_for_one() {
         // Initiator lacks 3, responder lacks 1 => 1 each way.
-        let (a, b, now) = pair(3, &[(0, 0)], &[(1, 0), (1, 1), (2, 0)]);
-        let out = balanced_exchange(&a, &b, now, false, None);
+        let (w, now) = pair(3, &[(0, 0)], &[(1, 0), (1, 1), (2, 0)]);
+        let out = balanced(&w, now, false, None);
         assert_eq!(out.to_initiator.len(), 1);
         assert_eq!(out.to_responder.len(), 1);
         assert_eq!(
@@ -218,8 +220,8 @@ mod tests {
     #[test]
     fn balanced_exchange_with_satiated_partner_is_useless() {
         // Responder holds a superset: it needs nothing, so nothing moves.
-        let (a, b, now) = pair(2, &[(0, 0)], &[(0, 0), (1, 0), (1, 1)]);
-        let out = balanced_exchange(&a, &b, now, false, None);
+        let (w, now) = pair(2, &[(0, 0)], &[(0, 0), (1, 0), (1, 1)]);
+        let out = balanced(&w, now, false, None);
         assert!(
             out.is_empty(),
             "the satiation effect: no mutual need, no trade"
@@ -228,8 +230,8 @@ mod tests {
 
     #[test]
     fn unbalanced_exchange_gives_one_extra_to_needier_side() {
-        let (a, b, now) = pair(3, &[(0, 0)], &[(1, 0), (1, 1), (2, 0)]);
-        let out = balanced_exchange(&a, &b, now, true, None);
+        let (w, now) = pair(3, &[(0, 0)], &[(1, 0), (1, 1), (2, 0)]);
+        let out = balanced(&w, now, true, None);
         assert_eq!(out.to_initiator.len(), 2, "initiator needed 3, gets min+1");
         assert_eq!(out.to_responder.len(), 1);
     }
@@ -238,23 +240,23 @@ mod tests {
     fn unbalanced_does_not_create_service_from_nothing() {
         // Responder needs nothing => receives 0 => unwilling to give even
         // one: unbalanced exchanges only help under *partial* satiation.
-        let (a, b, now) = pair(2, &[(0, 0)], &[(0, 0), (1, 0)]);
-        let out = balanced_exchange(&a, &b, now, true, None);
+        let (w, now) = pair(2, &[(0, 0)], &[(0, 0), (1, 0)]);
+        let out = balanced(&w, now, true, None);
         assert!(out.is_empty());
     }
 
     #[test]
     fn unbalanced_symmetric_needs_stay_balanced() {
-        let (a, b, now) = pair(2, &[(0, 0), (0, 1)], &[(1, 0), (1, 1)]);
-        let out = balanced_exchange(&a, &b, now, true, None);
+        let (w, now) = pair(2, &[(0, 0), (0, 1)], &[(1, 0), (1, 1)]);
+        let out = balanced(&w, now, true, None);
         assert_eq!(out.to_initiator.len(), 2);
         assert_eq!(out.to_responder.len(), 2);
     }
 
     #[test]
     fn rate_limit_caps_both_directions() {
-        let (a, b, now) = pair(4, &[(0, 0), (0, 1), (0, 2)], &[(1, 0), (1, 1), (1, 2)]);
-        let out = balanced_exchange(&a, &b, now, false, Some(2));
+        let (w, now) = pair(4, &[(0, 0), (0, 1), (0, 2)], &[(1, 0), (1, 1), (1, 2)]);
+        let out = balanced(&w, now, false, Some(2));
         assert_eq!(out.to_initiator.len(), 2);
         assert_eq!(out.to_responder.len(), 2);
     }
@@ -264,8 +266,8 @@ mod tests {
         // now = 7, old_age 4, recent_age 1.
         // Initiator has recents (7,0),(7,1) and misses old (0,0),(1,0)
         // which the responder has.
-        let (a, b, now) = pair(7, &[(7, 0), (7, 1)], &[(0, 0), (1, 0)]);
-        let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
+        let (w, now) = pair(7, &[(7, 0), (7, 1)], &[(0, 0), (1, 0)]);
+        let out = push(&w, now, 2, None);
         assert_eq!(out.to_responder.len(), 2, "responder takes both recents");
         assert_eq!(
             out.useful_to_initiator,
@@ -279,20 +281,20 @@ mod tests {
 
     #[test]
     fn push_size_caps_transfer() {
-        let (a, b, now) = pair(
+        let (w, now) = pair(
             7,
             &[(7, 0), (7, 1), (7, 2), (6, 0)],
             &[(0, 0), (0, 1), (0, 2), (0, 3)],
         );
-        let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
+        let out = push(&w, now, 2, None);
         assert_eq!(out.to_responder.len(), 2);
         assert_eq!(out.useful_to_initiator.len(), 2, "pays one-for-one");
     }
 
     #[test]
     fn push_pays_junk_when_responder_lacks_olds() {
-        let (a, b, now) = pair(7, &[(7, 0), (7, 1)], &[(0, 0)]);
-        let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
+        let (w, now) = pair(7, &[(7, 0), (7, 1)], &[(0, 0)]);
+        let out = push(&w, now, 2, None);
         assert_eq!(out.to_responder.len(), 2);
         assert_eq!(out.useful_to_initiator.len(), 1);
         assert_eq!(out.junk_to_initiator, 1, "short one old update => junk");
@@ -301,8 +303,8 @@ mod tests {
     #[test]
     fn push_noop_when_responder_wants_nothing() {
         // Responder already has the initiator's recents.
-        let (a, b, now) = pair(7, &[(7, 0)], &[(7, 0), (0, 0)]);
-        let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
+        let (w, now) = pair(7, &[(7, 0)], &[(7, 0), (0, 0)]);
+        let out = push(&w, now, 2, None);
         assert!(out.is_empty());
         assert_eq!(out.junk_to_initiator, 0);
     }
@@ -311,26 +313,42 @@ mod tests {
     fn push_only_offers_recent_updates() {
         // Initiator's only update is old; responder lacks it but it is not
         // offerable in a push.
-        let (a, b, now) = pair(7, &[(0, 5)], &[(1, 0)]);
-        let out = optimistic_push(&a, &b, now, 2, 4, 1, None);
+        let (w, now) = pair(7, &[(0, 5)], &[(1, 0)]);
+        let out = push(&w, now, 2, None);
         assert!(out.is_empty());
     }
 
     #[test]
     fn push_rate_limited() {
-        let (a, b, now) = pair(7, &[(7, 0), (7, 1), (7, 2)], &[(0, 0), (0, 1), (0, 2)]);
-        let out = optimistic_push(&a, &b, now, 3, 4, 1, Some(1));
+        let (w, now) = pair(7, &[(7, 0), (7, 1), (7, 2)], &[(0, 0), (0, 1), (0, 2)]);
+        let out = push(&w, now, 3, Some(1));
         assert_eq!(out.to_responder.len(), 1);
         assert!(out.useful_to_initiator.len() <= 1);
     }
 
     #[test]
+    fn push_into_reuses_outcome_buffers() {
+        // A stale outcome from an earlier push must not leak into a no-op.
+        let (w, now) = pair(7, &[(7, 0), (7, 1)], &[(0, 0)]);
+        let mut out = PushOutcome::default();
+        optimistic_push_into(w.row(0), w.row(1), now, 2, 4, 1, None, &mut out);
+        assert_eq!(out.junk_to_initiator, 1);
+        optimistic_push_into(w.row(1), w.row(0), now, 2, 4, 1, None, &mut out);
+        assert!(out.is_empty());
+        assert!(out.useful_to_initiator.is_empty());
+        assert_eq!(out.junk_to_initiator, 0);
+    }
+
+    #[test]
     fn wants_push_only_when_missing_old() {
-        let (a, full, now) = pair(7, &[(7, 0)], &[(0, 0), (7, 0)]);
-        assert!(wants_push(&a, &full, now, 4), "missing (0,0) which is old");
-        let (b, full2, now2) = pair(7, &[(0, 0)], &[(0, 0), (7, 1)]);
+        let (w, now) = pair(7, &[(7, 0)], &[(0, 0), (7, 0)]);
         assert!(
-            !wants_push(&b, &full2, now2, 4),
+            wants_push(w.row(0), w.row(1), now, 4),
+            "missing (0,0) which is old"
+        );
+        let (w2, now2) = pair(7, &[(0, 0)], &[(0, 0), (7, 1)]);
+        assert!(
+            !wants_push(w2.row(0), w2.row(1), now2, 4),
             "only missing a recent update: no push"
         );
     }
@@ -360,9 +378,9 @@ mod tests {
             (&[(0, 0)], &[(0, 0)]),
         ];
         for &(ha, hb) in shapes {
-            let (a, b, now) = pair(3, ha, hb);
+            let (w, now) = pair(3, ha, hb);
             for unb in [false, true] {
-                let out = balanced_exchange(&a, &b, now, unb, None);
+                let out = balanced(&w, now, unb, None);
                 assert!(!is_excessive_service(
                     out.to_initiator.len(),
                     out.to_responder.len(),
@@ -373,73 +391,6 @@ mod tests {
                     out.to_initiator.len(),
                     1
                 ));
-            }
-        }
-    }
-}
-
-#[cfg(all(test, feature = "proptest-tests"))]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    fn arb_window(now: Round) -> impl Strategy<Value = WindowSet> {
-        proptest::collection::vec((0..=now, 0u32..16), 0..40).prop_map(move |items| {
-            let mut w = WindowSet::new(16, (now + 1) as u32);
-            for t in 0..=now {
-                w.advance(t);
-            }
-            for (round, slot) in items {
-                w.insert(UpdateId { round, slot });
-            }
-            w
-        })
-    }
-
-    proptest! {
-        #[test]
-        fn balanced_exchange_invariants(a in arb_window(5), b in arb_window(5),
-                                        unbalanced in any::<bool>(),
-                                        cap in proptest::option::of(1u32..5)) {
-            let out = balanced_exchange(&a, &b, 5, unbalanced, cap);
-            let (gi, gr) = (out.to_initiator.len(), out.to_responder.len());
-            // Never exceeds one-for-one plus the defense's single extra.
-            prop_assert!(gi <= gr + 1 && gr <= gi + 1);
-            if !unbalanced {
-                // Without the defense the cap is the only source of asymmetry.
-                if cap.is_none() { prop_assert_eq!(gi, gr); }
-            }
-            if let Some(c) = cap {
-                prop_assert!(gi <= c as usize && gr <= c as usize);
-            }
-            // Transfers are genuinely useful and available.
-            for u in &out.to_initiator {
-                prop_assert!(b.contains(*u) && !a.contains(*u));
-            }
-            for u in &out.to_responder {
-                prop_assert!(a.contains(*u) && !b.contains(*u));
-            }
-        }
-
-        #[test]
-        fn push_invariants(a in arb_window(5), b in arb_window(5),
-                           push_size in 1u32..6) {
-            let out = optimistic_push(&a, &b, 5, push_size, 3, 1, None);
-            prop_assert!(out.to_responder.len() <= push_size as usize);
-            // Payment is exact: useful + junk == taken.
-            prop_assert_eq!(
-                out.useful_to_initiator.len() + out.junk_to_initiator as usize,
-                out.to_responder.len()
-            );
-            for u in &out.to_responder {
-                prop_assert!(a.contains(*u) && !b.contains(*u));
-                // Only recents are offered.
-                prop_assert!(5 - u.round <= 1);
-            }
-            for u in &out.useful_to_initiator {
-                prop_assert!(b.contains(*u) && !a.contains(*u));
-                // Only old updates are requested.
-                prop_assert!(5 - u.round >= 3);
             }
         }
     }

@@ -29,17 +29,17 @@
 //!
 //! The round loop is allocation-free in steady state: the interaction
 //! order, purchase, presence and seeding-pick lists are scratch buffers
-//! owned by the sim struct, and the ideal-attack pool is a persistent
-//! [`WindowSet`] advanced in lockstep with the node windows (cleared and
-//! re-unioned each round) rather than rebuilt from round 0. The
-//! environment (`lotus_core::env`) adds no allocations. Scratch contents
-//! are meaningless between rounds; refactors here must keep reports
-//! bit-identical per seed (the determinism and schedule-golden tests are
-//! the guardrail).
+//! owned by the sim struct, and every window — the nodes', the
+//! reference window's and the ideal-attack pool's (cleared and
+//! re-unioned each round) — is a row of one [`WindowSlab`] advanced in
+//! lockstep. The environment (`lotus_core::env`) adds no allocations.
+//! Scratch contents are meaningless between rounds; refactors here must
+//! keep reports bit-identical per seed (the determinism and
+//! schedule-golden tests are the guardrail).
 
 use crate::attack::{AttackKind, AttackPlan};
 use crate::config::BarGossipConfig;
-use crate::update::WindowSet;
+use crate::update::{UpdateId, WindowSlab};
 use lotus_core::env::{Env, EnvSpec, Role};
 use lotus_core::faults::{CutStats, Fate, FaultCounters};
 use lotus_core::schedule;
@@ -137,7 +137,6 @@ impl ScripGossipReport {
 
 #[derive(Debug, Clone)]
 struct ScripNode {
-    window: WindowSet,
     money: u64,
     attacker: bool,
     target: bool,
@@ -165,10 +164,14 @@ pub struct ScripGossipSim {
     cfg: ScripGossipConfig,
     plan: AttackPlan,
     nodes: Vec<ScripNode>,
-    full: WindowSet,
-    /// Ideal-attack pool: union of attacker holdings, rebuilt in place
-    /// each round; advanced in lockstep with the node windows.
-    pool: WindowSet,
+    /// Update windows: row `i < n` is node `i`'s, then the `full` and
+    /// `pool` rows.
+    windows: WindowSlab,
+    /// Row of `windows` holding every update released.
+    full: usize,
+    /// Row of `windows` holding the ideal-attack pool: the union of
+    /// attacker holdings, rebuilt in place each round.
+    pool: usize,
     schedule: PartnerSchedule,
     rng: DetRng,
     round: Round,
@@ -189,7 +192,7 @@ pub struct ScripGossipSim {
     /// shuffled batch is applied in order — the same rng draws as the
     /// legacy shuffled-initiator walk.
     plan_batch: ExchangePlan,
-    want_scratch: Vec<crate::update::UpdateId>,
+    want_scratch: Vec<UpdateId>,
     present_scratch: Vec<usize>,
     picks_scratch: Vec<usize>,
 }
@@ -224,10 +227,13 @@ impl ScripGossipSim {
         {
             target[honest[hi]] = true;
         }
-        let window = WindowSet::new(cfg.base.updates_per_round, cfg.base.update_lifetime);
+        let windows = WindowSlab::new(
+            n as usize + 2,
+            cfg.base.updates_per_round,
+            cfg.base.update_lifetime,
+        );
         let nodes = (0..n as usize)
             .map(|i| ScripNode {
-                window: window.clone(),
                 money: u64::from(cfg.money_per_node),
                 attacker: attacker[i],
                 target: target[i],
@@ -250,8 +256,9 @@ impl ScripGossipSim {
             }
         });
         ScripGossipSim {
-            pool: window.clone(),
-            full: window,
+            windows,
+            full: n as usize,
+            pool: n as usize + 1,
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
             env,
             served_this_round: vec![0; n as usize],
@@ -293,26 +300,22 @@ impl ScripGossipSim {
     }
 
     fn advance_windows(&mut self, t: Round) {
-        let popped_full = self.full.advance(t);
-        let _ = self.pool.advance(t);
-        if let Some((expired_round, full_mask)) = popped_full {
+        if let Some((expired_round, slot)) = self.windows.expiring() {
+            let full_mask = self.windows.take(self.full, slot);
+            self.windows.take(self.pool, slot);
             let measured = self.cfg.base.is_measured_round(expired_round);
             let total = u64::from(full_mask.count_ones());
             for i in 0..self.nodes.len() {
-                let popped = self.nodes[i].window.advance(t);
+                let mask = self.windows.take(i, slot);
                 if !measured {
                     continue;
                 }
-                let (_, mask) = popped.expect("lockstep windows");
                 let ci = self.class_of(i);
                 self.delivered[ci] += u64::from((mask & full_mask).count_ones());
                 self.totals[ci] += total;
             }
-        } else {
-            for node in self.nodes.iter_mut() {
-                let _ = node.window.advance(t);
-            }
         }
+        self.windows.advance(t);
     }
 
     fn seed_round(&mut self, t: Round) {
@@ -325,11 +328,11 @@ impl ScripGossipSim {
         let copies = (self.cfg.base.copies_seeded as usize).min(present.len());
         let mut seed_rng = self.rng.fork_idx("seeding", t);
         for slot in 0..self.cfg.base.updates_per_round {
-            let id = crate::update::UpdateId { round: t, slot };
-            self.full.insert(id);
+            let id = UpdateId { round: t, slot };
+            self.windows.insert(self.full, id);
             seed_rng.sample_indices_into(present.len(), copies, &mut picks);
             for &pick in &picks {
-                self.nodes[present[pick]].window.insert(id);
+                self.windows.insert(present[pick], id);
             }
         }
         self.present_scratch = present;
@@ -342,18 +345,17 @@ impl ScripGossipSim {
         if self.plan.kind != AttackKind::IdealLotusEater || !self.env.attack_active() {
             return;
         }
-        // The persistent pool window stays aligned with the live ones;
-        // rebuild its contents in place as the union of all attacker
+        // Rebuild the pool row in place as the union of all attacker
         // holdings.
-        self.pool.clear();
-        for node in &self.nodes {
+        self.windows.clear_row(self.pool);
+        for (i, node) in self.nodes.iter().enumerate() {
             if node.attacker {
-                self.pool.union_with(&node.window);
+                self.windows.union(self.pool, i);
             }
         }
-        for node in self.nodes.iter_mut() {
+        for (i, node) in self.nodes.iter().enumerate() {
             if node.target && !node.attacker {
-                node.window.union_with(&self.pool);
+                self.windows.union(i, self.pool);
             }
         }
     }
@@ -370,8 +372,8 @@ impl ScripGossipSim {
             // Attacker seller: gift everything, free, to targets only.
             if self.plan.kind == AttackKind::TradeLotusEater && self.nodes[b].target {
                 let mut gift = std::mem::take(&mut self.want_scratch);
-                self.nodes[b].window.wanted_from_into(
-                    &self.nodes[s].window,
+                self.windows.row(b).wanted_from_into(
+                    self.windows.row(s),
                     now,
                     usize::MAX,
                     0,
@@ -379,7 +381,7 @@ impl ScripGossipSim {
                     &mut gift,
                 );
                 for &id in &gift {
-                    self.nodes[b].window.insert(id);
+                    self.windows.insert(b, id);
                 }
                 self.want_scratch = gift;
             }
@@ -395,7 +397,7 @@ impl ScripGossipSim {
             }
         }
         // Honest (or attacker-buyer) purchase.
-        let wants = self.nodes[b].window.missing_from(&self.nodes[s].window) as u64;
+        let wants = self.windows.row(b).missing_from(self.windows.row(s)) as u64;
         if wants == 0 {
             return;
         }
@@ -413,8 +415,8 @@ impl ScripGossipSim {
         }
         let afford = self.nodes[b].money.min(wants) as usize;
         let mut bought = std::mem::take(&mut self.want_scratch);
-        self.nodes[b].window.wanted_from_into(
-            &self.nodes[s].window,
+        self.windows.row(b).wanted_from_into(
+            self.windows.row(s),
             now,
             afford,
             0,
@@ -439,7 +441,7 @@ impl ScripGossipSim {
             return;
         }
         for &id in &bought {
-            self.nodes[b].window.insert(id);
+            self.windows.insert(b, id);
         }
         let price = bought.len() as u64;
         self.nodes[b].money -= price;
@@ -496,7 +498,7 @@ impl RoundSim for ScripGossipSim {
         // survives (scrip is a ledger, not local state), keeping the
         // supply invariant intact under fault injection.
         for i in self.env.begin_round(t).iter() {
-            self.nodes[i].window.clear();
+            self.windows.clear_row(i);
         }
         // Delivery is observed from the running counters (no
         // allocation), absent until the first measured expiry.

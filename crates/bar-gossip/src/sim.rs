@@ -50,7 +50,10 @@
 //! batch and its chunk tables, seeding picks, gift/return buffers) is a
 //! scratch buffer owned by the sim struct, cleared and refilled in
 //! place, and membership tracking (`fed`, the defenses' quorums) uses
-//! [`lotus_core::bitset::BitSet`]. The environment keeps the invariant:
+//! [`lotus_core::bitset::BitSet`]. Every window — each node's, the
+//! reference window and the ideal attack's pool — is a row of one
+//! [`WindowSlab`] sized at construction, so a flash crowd engaging
+//! allocates nothing either. The environment keeps the invariant:
 //! churn, faults and the schedule stepper ([`lotus_core::env::Env`])
 //! never allocate, and metric observations for threshold triggers are
 //! computed from the running delivery counters, not from a report.
@@ -65,7 +68,7 @@ use crate::exchange::{
     balanced_exchange_into, is_excessive_service, optimistic_push_into, wants_push,
     BalancedOutcome, PushOutcome,
 };
-use crate::update::{UpdateId, WindowSet};
+use crate::update::{UpdateId, WindowRow, WindowSlab};
 use lotus_core::bitset::BitSet;
 use lotus_core::digest::{region_hash, BloomIndex};
 use lotus_core::env::{Env, EnvSpec, Quorum, Role};
@@ -254,9 +257,11 @@ pub struct BarGossipSim {
     cfg: BarGossipConfig,
     plan: AttackPlan,
     // ---- struct-of-arrays per-node state, keyed by node index ----
-    /// Per-node update windows. A node's window is only advanced once
-    /// the node is *engaged* (has ever been present); see `engaged`.
-    windows: Vec<WindowSet>,
+    /// Update windows: row `i < n` is node `i`'s, then the `full` and
+    /// `pool` rows. All rows share one lockstep geometry; a node's row
+    /// is only written once the node is *engaged* (has ever been
+    /// present), so it is all zero until then; see `engaged`.
+    windows: WindowSlab,
     /// Metric class fixed at assignment time (isolated vs satiated).
     class: Vec<NodeClass>,
     /// Nodes the attacker currently tries to satiate. Equals the
@@ -269,13 +274,13 @@ pub struct BarGossipSim {
     /// is the evicted nodes.
     reports: Quorum,
     /// Nodes that have ever been present. A flash-crowd node still
-    /// waiting outside the system is *disengaged*: its window is not
-    /// advanced (the lazy-window seam that makes `advance_windows`
-    /// `O(engaged)` instead of `O(population)`) and it accumulates
-    /// zero deliveries — exactly what the dense path computed for it.
-    /// On arrival the window is fast-forwarded into lockstep
-    /// ([`WindowSet::skip_to`]) and its unusable-round counter is
-    /// seeded with the measured expiries it slept through.
+    /// waiting outside the system is *disengaged*: its row holds
+    /// nothing, so `advance_windows` skips it (the seam that makes the
+    /// advance `O(engaged)` instead of `O(population)`) and it
+    /// accumulates zero deliveries — exactly what the dense path
+    /// computed for it. On arrival its all-zero row is already in
+    /// lockstep; only its unusable-round counter is seeded, with the
+    /// measured expiries it slept through.
     engaged: BitSet,
     /// The sharded activity index over node indices: active = live in
     /// the environment (present ∧ ¬down ∧ ¬cut) ∧ ¬evicted, rebuilt
@@ -296,10 +301,12 @@ pub struct BarGossipSim {
     /// Whether the fault plan can touch messages at all; hoisted out of
     /// `faulty_send` so inert plans skip the fate machinery entirely.
     faults_msg: bool,
-    /// Every update released (the reference window).
-    full: WindowSet,
-    /// Ideal-attack pooled seeds (the out-of-band channel).
-    pool: WindowSet,
+    /// Row of `windows` holding every update released (the reference
+    /// window).
+    full: usize,
+    /// Row of `windows` holding the ideal attack's pooled seeds (the
+    /// out-of-band channel).
+    pool: usize,
     schedule: PartnerSchedule,
     rng: DetRng,
     authority: Authority,
@@ -452,8 +459,11 @@ impl BarGossipSim {
             }
         }
 
-        let window = WindowSet::new(cfg.updates_per_round, cfg.update_lifetime);
-        let windows: Vec<WindowSet> = vec![window.clone(); n as usize];
+        let windows = WindowSlab::new(n as usize + 2, cfg.updates_per_round, cfg.update_lifetime);
+        // Transfer lists never exceed one live window; they and the plan
+        // batch are reserved for the whole population, so a flash crowd
+        // landing grows nothing.
+        let live = cfg.updates_per_round as usize * cfg.update_lifetime as usize;
         let mut target = BitSet::new(n as usize);
         let mut class_counts = [0u64; 3];
         let mut attacker_list = Vec::new();
@@ -498,7 +508,6 @@ impl BarGossipSim {
         // window, so the steady digest round never reallocates.
         let digest_state = cfg.digest.map(|dcfg| {
             let lifetime = cfg.update_lifetime as usize;
-            let live = cfg.updates_per_round as usize * lifetime;
             DigestState {
                 dcfg,
                 index: BloomIndex::new(dcfg.bits, dcfg.hashes, lifetime, live),
@@ -513,8 +522,8 @@ impl BarGossipSim {
             }
         });
         BarGossipSim {
-            full: window.clone(),
-            pool: window,
+            full: n as usize,
+            pool: n as usize + 1,
             schedule: PartnerSchedule::new(rng.fork("schedule").next_u64(), n),
             env,
             faults_msg: cfg.faults.has_message_faults(),
@@ -540,13 +549,20 @@ impl BarGossipSim {
             run_pool: WorkerPool::new(cfg.run_threads),
             alive_scratch: Vec::with_capacity(n as usize),
             picks_scratch: Vec::new(),
-            plan_batch: ExchangePlan::new(),
+            plan_batch: ExchangePlan::with_capacity(n as usize),
             chunk_sizes: Vec::new(),
             chunk_bounds: Vec::new(),
-            gift_scratch: Vec::new(),
-            returned_scratch: Vec::new(),
-            balanced_scratch: BalancedOutcome::default(),
-            push_scratch: PushOutcome::default(),
+            gift_scratch: Vec::with_capacity(live),
+            returned_scratch: Vec::with_capacity(live),
+            balanced_scratch: BalancedOutcome {
+                to_initiator: Vec::with_capacity(live),
+                to_responder: Vec::with_capacity(live),
+            },
+            push_scratch: PushOutcome {
+                useful_to_initiator: Vec::with_capacity(live),
+                to_responder: Vec::with_capacity(live),
+                junk_to_initiator: 0,
+            },
             digest_state,
             cfg,
             plan,
@@ -612,18 +628,19 @@ impl BarGossipSim {
         !self.reports.contains(node.index()) && self.env.is_live(node.index())
     }
 
-    /// Engage `node` if it has never been present before: fast-forward
-    /// its window into lockstep and seed its unusable-round counter
-    /// with the measured expiries it slept through (a disengaged node
-    /// delivered nothing in each of them, exactly like an empty dense
-    /// window).
+    /// Engage `node` if it has never been present before: seed its
+    /// unusable-round counter with the measured expiries it slept
+    /// through (a disengaged node delivered nothing in each of them,
+    /// exactly like an empty dense window). Its row needs no work: it
+    /// was never written, so it is the empty window in lockstep.
     fn ensure_engaged(&mut self, i: usize) {
         if self.engaged.contains(i) {
             return;
         }
-        if self.round > 0 {
-            self.windows[i].skip_to(self.round - 1);
-        }
+        debug_assert!(
+            self.windows.row(i).is_empty(),
+            "a disengaged row was written"
+        );
         self.engaged.insert(i);
         self.node_unusable_rounds[i] = self.measured_rounds;
     }
@@ -723,11 +740,11 @@ impl BarGossipSim {
         }
         let mut union = 0u64;
         for &i in &self.attacker_list {
-            union |= self.windows[i as usize].mask(r).unwrap_or(0);
+            union |= self.windows.row(i as usize).mask(r).unwrap_or(0);
         }
         // The ideal attack's pool also counts (it is what gets forwarded).
         if self.plan.kind == AttackKind::IdealLotusEater {
-            union |= self.pool.mask(r).unwrap_or(0);
+            union |= self.windows.row(self.pool).mask(r).unwrap_or(0);
         }
         self.attacker_union_delivered += u64::from(union.count_ones());
         self.attacker_union_total += u64::from(self.cfg.updates_per_round);
@@ -735,30 +752,29 @@ impl BarGossipSim {
 
     /// Phase 1: slide windows; account expired (measured) rounds.
     ///
-    /// Only *engaged* windows are advanced — `O(engaged)`, the hottest
-    /// win of the sharded engine at flash-crowd scale. A disengaged
-    /// node's dense contribution was always `got = 0` with one
-    /// unusable round per measured expiry; the class totals below use
-    /// the static per-class counts (every window popped in lockstep in
-    /// the dense loop, so its `class_nodes` tally was exactly those
-    /// counts), and the unusable rounds are settled at engage time /
-    /// report time. Reports stay bit-identical.
+    /// The expiring round's slot is read and zeroed only in *engaged*
+    /// rows (plus `full` and `pool`) — `O(engaged)`, the hottest win of
+    /// the sharded engine at flash-crowd scale; a disengaged row is zero
+    /// there already. A disengaged node's dense contribution was always
+    /// `got = 0` with one unusable round per measured expiry; the class
+    /// totals below use the static per-class counts (every window
+    /// expired in lockstep in the dense loop, so its `class_nodes` tally
+    /// was exactly those counts), and the unusable rounds are settled at
+    /// engage time / report time. Reports stay bit-identical.
     // lint: hot-loop
     fn advance_windows(&mut self, t: Round) {
-        let popped_full = self.full.advance(t);
-        let _ = self.pool.advance(t);
-        if let Some((expired_round, full_mask)) = popped_full {
+        if let Some((expired_round, slot)) = self.windows.expiring() {
+            let full_mask = self.windows.take(self.full, slot);
+            self.windows.take(self.pool, slot);
             let measured = self.cfg.is_measured_round(expired_round);
             let total = u64::from(full_mask.count_ones());
             let mut class_delivered = [0u64; 3];
             let usable_floor = self.cfg.usability_threshold;
             for i in self.engaged.iter() {
-                let popped = self.windows[i].advance(t);
+                let mask = self.windows.take(i, slot);
                 if !measured {
                     continue;
                 }
-                let (r, mask) = popped.expect("engaged windows advance in lockstep");
-                debug_assert_eq!(r, expired_round);
                 let ci = class_idx(self.class[i]);
                 let got = u64::from((mask & full_mask).count_ones());
                 class_delivered[ci] += got;
@@ -782,12 +798,8 @@ impl BarGossipSim {
                 };
                 self.isolated_series.push((expired_round, iso));
             }
-            return;
         }
-        // No expiry yet: still advance engaged windows in lockstep.
-        for i in self.engaged.iter() {
-            let _ = self.windows[i].advance(t);
-        }
+        self.windows.advance(t);
     }
 
     /// Phase 2: broadcaster releases and seeds the new batch.
@@ -806,15 +818,15 @@ impl BarGossipSim {
         let mut seed_rng = self.rng.fork_idx("seeding", t);
         for slot in 0..self.cfg.updates_per_round {
             let id = UpdateId { round: t, slot };
-            self.full.insert(id);
+            self.windows.insert(self.full, id);
             seed_rng.sample_indices_into(alive.len(), copies, &mut picks);
             for &pick in &picks {
                 let i = alive[pick];
-                self.windows[i].insert(id);
+                self.windows.insert(i, id);
                 if self.class[i] == NodeClass::Attacker
                     && self.plan.kind == AttackKind::IdealLotusEater
                 {
-                    self.pool.insert(id);
+                    self.windows.insert(self.pool, id);
                 }
             }
         }
@@ -842,9 +854,12 @@ impl BarGossipSim {
             if !self.alive(NodeId(i as u32)) {
                 continue;
             }
-            let gained = self.windows[i].missing_from(&self.pool) as u64;
+            let gained = self
+                .windows
+                .row(i)
+                .missing_from(self.windows.row(self.pool)) as u64;
             if gained > 0 {
-                self.windows[i].union_with(&self.pool);
+                self.windows.union(i, self.pool);
                 self.meter.transfer(
                     NodeId(rep as u32),
                     NodeId(i as u32),
@@ -870,8 +885,8 @@ impl BarGossipSim {
             .rate_limit
             .map_or(usize::MAX, |c| c as usize);
         let mut gift = std::mem::take(&mut self.gift_scratch);
-        self.windows[target.index()].wanted_from_into(
-            &self.windows[attacker.index()],
+        self.windows.row(target.index()).wanted_from_into(
+            self.windows.row(attacker.index()),
             now,
             cap,
             0,
@@ -892,8 +907,8 @@ impl BarGossipSim {
         let mut returned = std::mem::take(&mut self.returned_scratch);
         returned.clear();
         if self.cfg.attacker_receives {
-            self.windows[attacker.index()].wanted_from_into(
-                &self.windows[target.index()],
+            self.windows.row(attacker.index()).wanted_from_into(
+                self.windows.row(target.index()),
                 now,
                 gift.len(),
                 0,
@@ -902,11 +917,11 @@ impl BarGossipSim {
             );
         }
         for &id in &gift {
-            self.windows[target.index()].insert(id);
+            self.windows.insert(target.index(), id);
         }
         if self.faulty_send(target, attacker, returned.len() as u64, 0) {
             for &id in &returned {
-                self.windows[attacker.index()].insert(id);
+                self.windows.insert(attacker.index(), id);
             }
         }
         self.trace.emit_with(now, target, EventKind::Attack, || {
@@ -931,32 +946,19 @@ impl BarGossipSim {
         self.returned_scratch = returned;
     }
 
-    /// Disjoint mutable windows of two *distinct* nodes: the split-borrow
-    /// helper behind the clone-free attacker synchronisation.
-    fn windows_pair(&mut self, a: usize, b: usize) -> (&mut WindowSet, &mut WindowSet) {
-        debug_assert_ne!(a, b, "windows_pair needs distinct nodes");
-        if a < b {
-            let (lo, hi) = self.windows.split_at_mut(b);
-            (&mut lo[a], &mut hi[0])
-        } else {
-            let (lo, hi) = self.windows.split_at_mut(a);
-            (&mut hi[0], &mut lo[b])
-        }
-    }
-
     /// Colluding attacker nodes synchronise fully when the schedule pairs
     /// them — the only in-protocol pooling the trade attack gets.
     fn attacker_sync(&mut self, a: NodeId, b: NodeId) {
         if a == b {
             return;
         }
-        let (wa, wb) = self.windows_pair(a.index(), b.index());
-        let gained_b = wb.missing_from(wa) as u64;
-        let gained_a = wa.missing_from(wb) as u64;
+        let (ia, ib) = (a.index(), b.index());
+        let gained_b = self.windows.row(ib).missing_from(self.windows.row(ia)) as u64;
+        let gained_a = self.windows.row(ia).missing_from(self.windows.row(ib)) as u64;
         // Both end at the same union, so the two in-place unions replace
         // the clone-then-merge exactly.
-        wb.union_with(wa);
-        wa.union_with(wb);
+        self.windows.union(ib, ia);
+        self.windows.union(ia, ib);
         if gained_b > 0 {
             self.meter.transfer(a, b, MsgClass::Payload, gained_b);
         }
@@ -1217,8 +1219,8 @@ impl BarGossipSim {
                     }
                     let mut out = std::mem::take(&mut self.balanced_scratch);
                     balanced_exchange_into(
-                        &self.windows[v.index()],
-                        &self.windows[p.index()],
+                        self.windows.row(v.index()),
+                        self.windows.row(p.index()),
                         t,
                         self.cfg.defenses.unbalanced_exchanges,
                         self.cfg.defenses.rate_limit,
@@ -1230,14 +1232,14 @@ impl BarGossipSim {
                     // indistinguishable here — by design).
                     if self.faulty_send(p, v, out.to_initiator.len() as u64, 0) {
                         for &id in &out.to_initiator {
-                            self.windows[v.index()].insert(id);
+                            self.windows.insert(v.index(), id);
                         }
                     } else if !out.to_initiator.is_empty() {
                         self.note_silence(v, p, t);
                     }
                     if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
                         for &id in &out.to_responder {
-                            self.windows[p.index()].insert(id);
+                            self.windows.insert(p.index(), id);
                         }
                     } else if !out.to_responder.is_empty() {
                         self.note_silence(p, v, t);
@@ -1291,7 +1293,8 @@ impl BarGossipSim {
                 continue;
             }
             // Rational initiation condition: only when missing old updates.
-            if !wants_push(&self.windows[v.index()], &self.full, t, self.cfg.old_age) {
+            let (node, full) = (self.windows.row(v.index()), self.windows.row(self.full));
+            if !wants_push(node, full, t, self.cfg.old_age) {
                 continue;
             }
             if strict && !self.alive(p) {
@@ -1313,8 +1316,8 @@ impl BarGossipSim {
             }
             let mut out = std::mem::take(&mut self.push_scratch);
             optimistic_push_into(
-                &self.windows[v.index()],
-                &self.windows[p.index()],
+                self.windows.row(v.index()),
+                self.windows.row(p.index()),
                 t,
                 self.cfg.push_size,
                 self.cfg.old_age,
@@ -1332,7 +1335,7 @@ impl BarGossipSim {
             // cannot tell a lost offer from a withheld payment.
             if self.faulty_send(v, p, out.to_responder.len() as u64, 0) {
                 for &id in &out.to_responder {
-                    self.windows[p.index()].insert(id);
+                    self.windows.insert(p.index(), id);
                 }
             }
             if self.faulty_send(
@@ -1342,7 +1345,7 @@ impl BarGossipSim {
                 u64::from(out.junk_to_initiator),
             ) {
                 for &id in &out.useful_to_initiator {
-                    self.windows[v.index()].insert(id);
+                    self.windows.insert(v.index(), id);
                 }
             }
             self.push_scratch = out;
@@ -1457,11 +1460,9 @@ impl BarGossipSim {
         if st.dcfg.exact {
             want_v.clear();
             want_p.clear();
-            let start = self.windows[v.index()].start();
-            st.stats.bytes_digests += 2 * ID_WIRE_BYTES * (t - start + 1);
-            for r in start..=t {
-                let mv = self.windows[v.index()].mask(r).unwrap_or(0);
-                let mp = self.windows[p.index()].mask(r).unwrap_or(0);
+            let (wv, wp) = (self.windows.row(v.index()), self.windows.row(p.index()));
+            st.stats.bytes_digests += 2 * ID_WIRE_BYTES * (t - wv.start() + 1);
+            for ((r, mv), (_, mp)) in wv.live().zip(wp.live()) {
                 if region_hash(r, mv) == region_hash(r, mp) {
                     continue;
                 }
@@ -1484,32 +1485,16 @@ impl BarGossipSim {
                 }
             }
         } else {
+            let (wv, wp) = (self.windows.row(v.index()), self.windows.row(p.index()));
             if st.indexed != Some(t) {
-                // Engaged windows advance in lockstep with `full`, so
-                // every exchanging window lies inside its live range.
-                let base = self.full.start();
+                // Every row shares the slab's live range.
+                let full = self.windows.row(self.full);
                 st.index
-                    .rebuild(base, (base..=t).map(|r| self.full.mask(r).unwrap_or(0)));
+                    .rebuild(full.start(), full.live().map(|(_, mask)| mask));
                 st.indexed = Some(t);
             }
-            Self::bloom_wants(
-                &st.index,
-                &mut st.held,
-                &self.windows[p.index()],
-                &self.windows[v.index()],
-                t,
-                limit,
-                &mut want_v,
-            );
-            Self::bloom_wants(
-                &st.index,
-                &mut st.held,
-                &self.windows[v.index()],
-                &self.windows[p.index()],
-                t,
-                limit,
-                &mut want_p,
-            );
+            Self::bloom_wants(&st.index, &mut st.held, wp, wv, limit, &mut want_v);
+            Self::bloom_wants(&st.index, &mut st.held, wv, wp, limit, &mut want_p);
             st.stats.bytes_digests += 2 * st.index.size_bytes();
             st.stats.bytes_requests += ID_WIRE_BYTES * (want_v.len() + want_p.len()) as u64;
         }
@@ -1531,20 +1516,19 @@ impl BarGossipSim {
     fn bloom_wants(
         index: &BloomIndex,
         held: &mut Vec<u64>,
-        sender: &WindowSet,
-        receiver: &WindowSet,
-        t: Round,
+        sender: WindowRow<'_>,
+        receiver: WindowRow<'_>,
         limit: usize,
         want: &mut Vec<UpdateId>,
     ) {
         want.clear();
         held.clear();
-        debug_assert!(sender.start() >= index.base() && receiver.start() >= index.base());
-        held.extend((index.base()..=t).map(|r| sender.mask(r).unwrap_or(0)));
+        debug_assert_eq!(receiver.start(), index.base());
+        held.extend(sender.live().map(|(_, mask)| mask));
         let per_round = receiver.per_round();
         let slots = u64::MAX >> (64 - per_round);
-        for r in receiver.start()..=t {
-            let missing = slots & !receiver.mask(r).unwrap_or(0);
+        for (r, mask) in receiver.live() {
+            let missing = slots & !mask;
             let mut hits = index.positives(r, missing, held);
             while hits != 0 {
                 if want.len() >= limit {
@@ -1584,8 +1568,9 @@ impl BarGossipSim {
             && self.plan.kind == AttackKind::Poison
             && self.is_attacker(sender);
         let mut strike = false;
+        let held = self.windows.row(sender.index());
         for &id in want {
-            if !self.windows[sender.index()].contains(id) {
+            if !held.contains(id) {
                 st.stats.fp_requests += 1;
                 if !strike {
                     strike = st.audit_rng.chance(st.dcfg.audit);
@@ -1605,7 +1590,7 @@ impl BarGossipSim {
         if !deliver.is_empty() {
             if self.faulty_send(sender, receiver, deliver.len() as u64, 0) {
                 for &id in &deliver {
-                    self.windows[receiver.index()].insert(id);
+                    self.windows.insert(receiver.index(), id);
                 }
             } else {
                 self.note_silence(receiver, sender, t);
@@ -1737,19 +1722,20 @@ impl RoundSim for BarGossipSim {
         // which keep their windows while away, a crashed node re-enters
         // cold.
         for i in self.env.begin_round(t).iter() {
-            self.windows[i].clear();
+            self.windows.clear_row(i);
         }
-        // Engage nodes whose arrival wave just landed: fast-forward
-        // their windows into lockstep before anything slides. Inlined
-        // (rather than calling `ensure_engaged`) so the scratch-mask
-        // iteration and the window mutations borrow disjoint fields.
+        // Engage nodes whose arrival wave just landed, before anything
+        // slides. Inlined (rather than calling `ensure_engaged`) so the
+        // scratch-mask iteration and the counter writes borrow disjoint
+        // fields.
         self.mask_scratch.copy_from(self.env.population().present());
         self.mask_scratch.subtract(&self.engaged);
         if !self.mask_scratch.is_empty() {
             for i in self.mask_scratch.iter() {
-                if t > 0 {
-                    self.windows[i].skip_to(t - 1);
-                }
+                debug_assert!(
+                    self.windows.row(i).is_empty(),
+                    "a disengaged row was written"
+                );
                 self.engaged.insert(i);
                 self.node_unusable_rounds[i] = self.measured_rounds;
             }
@@ -1776,7 +1762,7 @@ impl RoundSim for BarGossipSim {
         // moment it is released — "sufficiently rapidly" taken literally.
         if !self.fed.is_empty() {
             for i in self.fed.iter() {
-                self.windows[i].union_with(&self.full);
+                self.windows.union(i, self.full);
             }
             self.fed.clear();
         }
@@ -1803,9 +1789,9 @@ impl lotus_core::satiation::Feedable for BarGossipSim {
     /// power in the limit, as Observation 3.1 assumes).
     fn feed_fully(&mut self, node: NodeId) {
         // Feeding a node implies it exists in the system: engage it
-        // first so its window is in lockstep before the union.
+        // first, so its row is advanced from now on.
         self.ensure_engaged(node.index());
-        self.windows[node.index()].union_with(&self.full);
+        self.windows.union(node.index(), self.full);
         self.fed.insert(node.index());
     }
 }
@@ -1817,13 +1803,8 @@ impl lotus_core::satiation::Satiable for BarGossipSim {
 
     /// A node is satiated when it holds every live update.
     fn is_satiated(&self, node: NodeId) -> bool {
-        if !self.engaged.contains(node.index()) {
-            // A disengaged window is not in lockstep with `full`;
-            // the node holds nothing, so it is satiated iff nothing
-            // is live.
-            return self.full.is_empty();
-        }
-        self.windows[node.index()].missing_from(&self.full) == 0
+        let full = self.windows.row(self.full);
+        self.windows.row(node.index()).missing_from(full) == 0
     }
 
     fn service_provided(&self, node: NodeId) -> u64 {

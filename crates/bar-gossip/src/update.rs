@@ -1,14 +1,29 @@
-//! Update identities and sliding live-update windows.
+//! Update identities and the window slab.
 //!
 //! BAR Gossip streams *updates*: each round the broadcaster releases a
 //! batch, and every update must reach a node within `lifetime` rounds of
 //! its release to be useful (frames of a video stream). A node's holdings
-//! are therefore a *sliding window* of per-release-round bitmasks;
-//! [`WindowSet`] is that window. All nodes advance their windows in
-//! lockstep, so set operations between two windows can align masks
-//! round-by-round.
+//! are therefore a *sliding window* of per-release-round bitmasks.
+//!
+//! Every window advances in lockstep, so the simulators keep them all in
+//! one [`WindowSlab`]: a single `Vec<u64>` of `rows × lifetime` masks
+//! with one shared geometry — the oldest live release round, the number
+//! of live rounds, and `head`, the physical slot of the oldest round in
+//! every row. A row is a ring of `lifetime` slots; its live rounds are
+//! walked as at most two contiguous runs (`head..lifetime`, then
+//! `0..head`), like `VecDeque::as_slices`, so no mask access pays a `%`.
+//! Two rows of one slab always cover the same release rounds: alignment
+//! is a property of the slab, not of the rows.
+//!
+//! Advancing expires the oldest round of every row at once. Its physical
+//! slot is the one the new round takes, so callers [`WindowSlab::take`]
+//! the expiring mask of every row that may hold anything (for delivery
+//! accounting), and the slot is zero and ready when
+//! [`WindowSlab::advance`] bumps `head`. A row nobody has written to is
+//! all zero, which is what an empty window advanced in lockstep holds.
 
 use netsim::Round;
+use std::ops::Range;
 
 /// A single update's identity: the round it was released in and its slot
 /// within that round's batch.
@@ -26,311 +41,388 @@ impl std::fmt::Display for UpdateId {
     }
 }
 
-/// The maximum batch size [`WindowSet`] supports (one `u64` mask per
-/// round).
+/// The maximum batch size a window supports (one `u64` mask per round).
 pub const MAX_UPDATES_PER_ROUND: u32 = 64;
 
-/// A sliding window of live-update holdings.
+/// Lockstep sliding windows of live-update holdings, one row each.
 ///
 /// Masks are indexed by release round; the window covers the most recent
-/// `lifetime` release rounds. Updates outside the window have expired and
-/// are dropped.
+/// `lifetime` release rounds. Updates outside the window have expired
+/// and are dropped.
 ///
 /// ```
-/// use bar_gossip::update::{UpdateId, WindowSet};
-/// let mut w = WindowSet::new(10, 3); // 10 updates/round, lifetime 3
+/// use bar_gossip::update::{UpdateId, WindowSlab};
+/// let mut w = WindowSlab::new(2, 10, 3); // 2 rows, 10 updates/round, lifetime 3
 /// w.advance(0);
-/// w.insert(UpdateId { round: 0, slot: 4 });
-/// assert!(w.contains(UpdateId { round: 0, slot: 4 }));
+/// w.insert(1, UpdateId { round: 0, slot: 4 });
+/// assert!(w.row(1).contains(UpdateId { round: 0, slot: 4 }));
+/// assert_eq!(w.row(0).missing_from(w.row(1)), 1);
 /// w.advance(1);
 /// w.advance(2);
+/// let (expiring, slot) = w.expiring().expect("three live rounds");
+/// assert_eq!(expiring, 0);
+/// assert_eq!(w.take(1, slot), 1 << 4);
 /// w.advance(3); // round 0 expires
-/// assert!(!w.contains(UpdateId { round: 0, slot: 4 }));
+/// assert!(!w.row(1).contains(UpdateId { round: 0, slot: 4 }));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowSet {
-    masks: std::collections::VecDeque<u64>,
-    /// Release round of `masks[0]`.
-    start: Round,
+#[derive(Debug, Clone)]
+pub struct WindowSlab {
+    /// `rows × lifetime` masks; row `r` owns `r*lifetime..(r+1)*lifetime`.
+    masks: Vec<u64>,
     per_round: u32,
-    lifetime: u32,
+    lifetime: usize,
+    /// Release round of the oldest live mask.
+    start: Round,
+    /// Live release rounds (`lifetime` once the window is full).
+    len: usize,
+    /// Physical slot of the oldest live round, in every row.
+    head: usize,
 }
 
-impl WindowSet {
-    /// An empty window for batches of `per_round` updates with the given
-    /// `lifetime` in rounds.
+impl WindowSlab {
+    /// `rows` empty windows for batches of `per_round` updates with the
+    /// given `lifetime` in rounds.
     ///
     /// # Panics
     ///
     /// Panics if `per_round` is 0 or exceeds [`MAX_UPDATES_PER_ROUND`], or
     /// if `lifetime` is 0.
-    pub fn new(per_round: u32, lifetime: u32) -> Self {
+    pub fn new(rows: usize, per_round: u32, lifetime: u32) -> Self {
         assert!(
             (1..=MAX_UPDATES_PER_ROUND).contains(&per_round),
             "per_round must be in 1..={MAX_UPDATES_PER_ROUND}"
         );
         assert!(lifetime > 0, "lifetime must be positive");
-        WindowSet {
-            masks: std::collections::VecDeque::with_capacity(lifetime as usize),
-            start: 0,
+        WindowSlab {
+            masks: vec![0; rows * lifetime as usize],
             per_round,
-            lifetime,
+            lifetime: lifetime as usize,
+            start: 0,
+            len: 0,
+            head: 0,
         }
     }
 
-    /// Updates per release round.
-    pub fn per_round(&self) -> u32 {
-        self.per_round
+    /// Number of rows.
+    pub fn rows(&self) -> usize {
+        self.masks.len() / self.lifetime
     }
 
-    /// Window lifetime in rounds.
-    pub fn lifetime(&self) -> u32 {
-        self.lifetime
-    }
-
-    /// Release round of the oldest live mask (0 before any advance).
+    /// Release round of the oldest live mask (0 before any expiry).
     pub fn start(&self) -> Round {
         self.start
     }
 
-    /// Open release round `round` and expire anything older than
-    /// `round - lifetime + 1`. Returns the mask of the expired round, if
-    /// one fell out of the window.
-    ///
-    /// Rounds must be advanced sequentially starting from 0.
+    /// The release round the next [`WindowSlab::advance`] expires and
+    /// the physical slot it recycles, once the window is full.
+    pub fn expiring(&self) -> Option<(Round, usize)> {
+        (self.len == self.lifetime).then_some((self.start, self.head))
+    }
+
+    /// Read and zero `row`'s mask at physical `slot` (from
+    /// [`WindowSlab::expiring`]). A zero mask is not written back, so
+    /// rows nobody wrote to stay on untouched pages.
+    #[inline]
+    pub fn take(&mut self, row: usize, slot: usize) -> u64 {
+        let mask = &mut self.masks[row * self.lifetime + slot];
+        let taken = *mask;
+        if taken != 0 {
+            *mask = 0;
+        }
+        taken
+    }
+
+    /// Open release round `round`. Once the window is full, the oldest
+    /// round expires and its slot becomes the new round's: every row
+    /// must hold zero there by now, so callers [`WindowSlab::take`] it
+    /// from each row that may hold anything first.
     ///
     /// # Panics
     ///
-    /// Panics if rounds are advanced out of order.
-    pub fn advance(&mut self, round: Round) -> Option<(Round, u64)> {
-        let expected = self.start + self.masks.len() as Round;
+    /// Panics if rounds are advanced out of order (they run sequentially
+    /// from 0).
+    pub fn advance(&mut self, round: Round) {
+        let expected = self.start + self.len as Round;
         assert_eq!(
             round, expected,
             "advance({round}) out of order, expected {expected}"
         );
-        self.masks.push_back(0);
-        if self.masks.len() > self.lifetime as usize {
-            let expired = self.masks.pop_front().expect("non-empty window");
-            let expired_round = self.start;
-            self.start += 1;
-            Some((expired_round, expired))
-        } else {
-            None
+        if self.len < self.lifetime {
+            // Slots `len..lifetime` have never been written.
+            self.len += 1;
+            return;
+        }
+        debug_assert!(
+            self.masks
+                .iter()
+                .skip(self.head)
+                .step_by(self.lifetime)
+                .all(|&m| m == 0),
+            "an expiring slot was not taken before the advance"
+        );
+        self.head += 1;
+        if self.head == self.lifetime {
+            self.head = 0;
+        }
+        self.start += 1;
+    }
+
+    /// Read-only view of `row`.
+    #[inline]
+    pub fn row(&self, row: usize) -> WindowRow<'_> {
+        let base = row * self.lifetime;
+        WindowRow {
+            slab: self,
+            masks: &self.masks[base..base + self.lifetime],
         }
     }
 
-    /// Fast-forward an *empty*, never-scrolled window to the alignment
-    /// that advancing it through `round` one step at a time would have
-    /// produced: `min(round + 1, lifetime)` all-zero masks ending at
-    /// release round `round`. The lazy-engagement seam of the sharded
-    /// engine — a flash-crowd node's window is not advanced while the
-    /// node waits outside the system (`O(pending)` saved per round),
-    /// then snapped into lockstep the round it arrives. An empty window
-    /// advanced `round + 1` times holds exactly these zero masks, so
-    /// the fast-forward is observationally identical to the dense path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the window holds any update or has already expired a
-    /// round (those histories cannot be reproduced by zero-fill), or if
-    /// the fast-forward would rewind the window.
-    pub fn skip_to(&mut self, round: Round) {
-        assert!(
-            self.start == 0 && self.is_empty(),
-            "skip_to requires a fresh, empty window"
-        );
-        let len = (round + 1).min(Round::from(self.lifetime)) as usize;
-        assert!(
-            len >= self.masks.len(),
-            "skip_to({round}) would rewind past {} queued rounds",
-            self.masks.len()
-        );
-        self.masks.clear();
-        self.masks.resize(len, 0);
-        self.start = round + 1 - len as Round;
-    }
-
-    fn mask_index(&self, round: Round) -> Option<usize> {
-        if round < self.start {
+    /// Physical slot of release round `round`, if it is live.
+    #[inline]
+    fn slot_of(&self, round: Round) -> Option<usize> {
+        let idx = round.checked_sub(self.start)? as usize;
+        if idx >= self.len {
             return None;
         }
-        let idx = (round - self.start) as usize;
-        if idx < self.masks.len() {
-            Some(idx)
+        let slot = self.head + idx;
+        Some(if slot >= self.lifetime {
+            slot - self.lifetime
         } else {
-            None
+            slot
+        })
+    }
+
+    /// Physical slots of the live rounds aged `min_age..=max_age` at
+    /// `now` (the newest round has age 0), oldest first, as two
+    /// contiguous runs of the ring (the second is empty unless the band
+    /// wraps), each with the release round of its first slot.
+    #[inline]
+    fn band(&self, now: Round, min_age: u32, max_age: u32) -> [(Round, Range<usize>); 2] {
+        // Live index `i` (release round `start + i`) has age `oldest - i`.
+        let oldest = now - self.start;
+        let lo = oldest
+            .saturating_sub(Round::from(max_age))
+            .min(self.len as Round) as usize;
+        let hi = match oldest.checked_sub(Round::from(min_age)) {
+            Some(newest) => (newest + 1).min(self.len as Round) as usize,
+            None => 0,
+        }
+        .max(lo);
+        let first = self.head + lo;
+        let (first, end) = if first >= self.lifetime {
+            (first - self.lifetime, first - self.lifetime + (hi - lo))
+        } else {
+            (first, first + (hi - lo))
+        };
+        let start = self.start + lo as Round;
+        if end <= self.lifetime {
+            [(start, first..end), (start, 0..0)]
+        } else {
+            let wrapped = (self.lifetime - first) as Round;
+            [
+                (start, first..self.lifetime),
+                (start + wrapped, 0..end - self.lifetime),
+            ]
         }
     }
 
-    /// `true` if `id`'s release round is currently inside the window.
-    pub fn is_live(&self, id: UpdateId) -> bool {
-        self.mask_index(id.round).is_some()
-    }
-
-    /// Insert a live update; returns `true` if newly inserted, `false` if
-    /// already held or expired (expired inserts are ignored).
+    /// Insert a live update into `row`; returns `true` if newly
+    /// inserted, `false` if already held or expired (expired inserts are
+    /// ignored).
     ///
     /// # Panics
     ///
     /// Panics if `id.slot >= per_round`.
-    pub fn insert(&mut self, id: UpdateId) -> bool {
+    #[inline]
+    pub fn insert(&mut self, row: usize, id: UpdateId) -> bool {
         assert!(id.slot < self.per_round, "slot {} out of range", id.slot);
-        let Some(idx) = self.mask_index(id.round) else {
+        let Some(slot) = self.slot_of(id.round) else {
             return false;
         };
+        let mask = &mut self.masks[row * self.lifetime + slot];
         let bit = 1u64 << id.slot;
-        let had = self.masks[idx] & bit != 0;
-        self.masks[idx] |= bit;
+        let had = *mask & bit != 0;
+        *mask |= bit;
         !had
     }
 
-    /// Membership test (expired updates are never contained).
-    pub fn contains(&self, id: UpdateId) -> bool {
-        if id.slot >= self.per_round {
-            return false;
+    /// Union row `src` into row `dst` (pooled attacker knowledge and
+    /// out-of-band deliveries).
+    pub fn union(&mut self, dst: usize, src: usize) {
+        if dst == src {
+            return;
         }
-        self.mask_index(id.round)
-            .is_some_and(|idx| self.masks[idx] & (1 << id.slot) != 0)
+        let l = self.lifetime;
+        let (d, s) = if dst < src {
+            let (lo, hi) = self.masks.split_at_mut(src * l);
+            (&mut lo[dst * l..(dst + 1) * l], &hi[..l])
+        } else {
+            let (lo, hi) = self.masks.split_at_mut(dst * l);
+            (&mut hi[..l], &lo[src * l..(src + 1) * l])
+        };
+        for (mine, theirs) in d.iter_mut().zip(s) {
+            *mine |= theirs;
+        }
+    }
+
+    /// Drop every update `row` holds; the row stays aligned with the
+    /// slab (a crash's state loss, the pool's per-round rebuild).
+    pub fn clear_row(&mut self, row: usize) {
+        let base = row * self.lifetime;
+        self.masks[base..base + self.lifetime].fill(0);
+    }
+}
+
+/// A read-only view of one [`WindowSlab`] row. The set operations take a
+/// second row of the *same* slab, which is what makes them aligned.
+#[derive(Debug, Clone, Copy)]
+pub struct WindowRow<'a> {
+    slab: &'a WindowSlab,
+    masks: &'a [u64],
+}
+
+impl<'a> WindowRow<'a> {
+    /// Release round of the oldest live mask.
+    pub fn start(self) -> Round {
+        self.slab.start
+    }
+
+    /// Updates per release round.
+    pub fn per_round(self) -> u32 {
+        self.slab.per_round
     }
 
     /// Raw mask for a release round (`None` if outside the window).
-    pub fn mask(&self, round: Round) -> Option<u64> {
-        self.mask_index(round).map(|i| self.masks[i])
+    #[inline]
+    pub fn mask(self, round: Round) -> Option<u64> {
+        self.slab.slot_of(round).map(|s| self.masks[s])
+    }
+
+    /// Membership test (expired updates are never contained).
+    pub fn contains(self, id: UpdateId) -> bool {
+        id.slot < self.slab.per_round
+            && self.mask(id.round).is_some_and(|m| m & (1 << id.slot) != 0)
     }
 
     /// Number of live updates held.
-    pub fn len(&self) -> usize {
+    pub fn len(self) -> usize {
         self.masks.iter().map(|m| m.count_ones() as usize).sum()
     }
 
-    /// `true` if no live updates are held.
-    pub fn is_empty(&self) -> bool {
+    /// Every live round's release round and mask, oldest first.
+    pub fn live(self) -> impl Iterator<Item = (Round, u64)> + 'a {
+        // The newest live round has age 0.
+        let newest = (self.slab.start + self.slab.len as Round).saturating_sub(1);
+        let [(a0, a), (b0, b)] = self.slab.band(newest, 0, u32::MAX);
+        let masks = self.masks;
+        (a0..)
+            .zip(masks[a].iter().copied())
+            .chain((b0..).zip(masks[b].iter().copied()))
+    }
+
+    /// `true` if no update is held. Slots outside the live rounds are
+    /// always zero, so this covers the whole row.
+    pub fn is_empty(self) -> bool {
         self.masks.iter().all(|&m| m == 0)
     }
 
-    /// Number of live updates in `other` that `self` lacks.
+    /// Panics unless `other` is a row of the same slab: only then do its
+    /// rounds line up with these.
+    #[inline]
+    fn check_aligned(self, other: WindowRow<'a>) {
+        assert!(
+            std::ptr::eq(self.slab, other.slab),
+            "rows of different slabs are not aligned"
+        );
+    }
+
+    /// The masks of this row and `other` for the live rounds aged
+    /// `min_age..=max_age` at `now`, oldest first, as at most two
+    /// contiguous runs, each with the release round of its first mask.
+    #[inline]
+    fn band(
+        self,
+        other: WindowRow<'a>,
+        now: Round,
+        min_age: u32,
+        max_age: u32,
+    ) -> impl Iterator<Item = (Round, &'a [u64], &'a [u64])> {
+        self.check_aligned(other);
+        let (mine, theirs) = (self.masks, other.masks);
+        self.slab
+            .band(now, min_age, max_age)
+            .into_iter()
+            .map(move |(first, run)| (first, &mine[run.clone()], &theirs[run]))
+    }
+
+    /// Number of live updates in `other` that this row lacks. Slots
+    /// outside the live rounds are zero in every row, so the count runs
+    /// over the whole row, in physical order.
     ///
     /// # Panics
     ///
-    /// Panics if the windows are not aligned (different start/shape).
-    pub fn missing_from(&self, other: &WindowSet) -> usize {
+    /// Panics if `other` is a row of a different slab.
+    #[inline]
+    pub fn missing_from(self, other: WindowRow<'a>) -> usize {
         self.check_aligned(other);
         self.masks
             .iter()
-            .zip(&other.masks)
-            .map(|(mine, theirs)| (theirs & !mine).count_ones() as usize)
+            .zip(other.masks)
+            .map(|(&m, &t)| (t & !m).count_ones() as usize)
             .sum()
     }
 
-    fn check_aligned(&self, other: &WindowSet) {
-        assert_eq!(self.start, other.start, "windows not aligned (start)");
-        assert_eq!(
-            self.masks.len(),
-            other.masks.len(),
-            "windows not aligned (len)"
-        );
-        assert_eq!(
-            self.per_round, other.per_round,
-            "windows not aligned (batch)"
-        );
-    }
-
-    /// The oldest `limit` updates in `other` that `self` lacks, optionally
-    /// restricted to updates of age `>= min_age` or `<= max_age` (age in
-    /// rounds relative to `now`, where the newest round has age 0).
+    /// The oldest `limit` updates in `other` that this row lacks,
+    /// restricted to updates of age `min_age..=max_age` (age in rounds
+    /// relative to `now`, where the newest round has age 0), into `out`
+    /// (cleared first, so hot loops reuse one buffer).
     ///
-    /// "Oldest first" models nodes prioritising updates closest to expiry.
-    pub fn wanted_from(
-        &self,
-        other: &WindowSet,
-        now: Round,
-        limit: usize,
-        min_age: u32,
-        max_age: u32,
-    ) -> Vec<UpdateId> {
-        let mut out = Vec::with_capacity(limit.min(8));
-        self.wanted_from_into(other, now, limit, min_age, max_age, &mut out);
-        out
-    }
-
-    /// [`WindowSet::wanted_from`] into a caller-owned buffer (cleared
-    /// first), so per-round hot loops can reuse one allocation.
+    /// "Oldest first" models nodes prioritising updates closest to
+    /// expiry.
     pub fn wanted_from_into(
-        &self,
-        other: &WindowSet,
+        self,
+        other: WindowRow<'a>,
         now: Round,
         limit: usize,
         min_age: u32,
         max_age: u32,
         out: &mut Vec<UpdateId>,
     ) {
-        self.check_aligned(other);
         out.clear();
-        'outer: for (i, (mine, theirs)) in self.masks.iter().zip(&other.masks).enumerate() {
-            let round = self.start + i as Round;
-            let age = (now - round) as u32;
-            if age < min_age || age > max_age {
-                continue;
-            }
-            let mut want = theirs & !mine;
-            while want != 0 {
-                if out.len() == limit {
-                    break 'outer;
+        if limit == 0 {
+            return;
+        }
+        for (first, mine, theirs) in self.band(other, now, min_age, max_age) {
+            for (i, (&m, &t)) in mine.iter().zip(theirs).enumerate() {
+                let round = first + i as Round;
+                let mut want = t & !m;
+                while want != 0 {
+                    out.push(UpdateId {
+                        round,
+                        slot: want.trailing_zeros(),
+                    });
+                    if out.len() == limit {
+                        return;
+                    }
+                    want &= want - 1;
                 }
-                let slot = want.trailing_zeros();
-                out.push(UpdateId { round, slot });
-                want &= want - 1;
             }
         }
     }
 
-    /// Count of updates in `other` missing from `self` within an age band.
+    /// Count of updates in `other` missing from this row within the age
+    /// band `min_age..=max_age`.
     pub fn missing_in_age_band(
-        &self,
-        other: &WindowSet,
+        self,
+        other: WindowRow<'a>,
         now: Round,
         min_age: u32,
         max_age: u32,
     ) -> usize {
-        self.check_aligned(other);
-        self.masks
-            .iter()
-            .zip(&other.masks)
-            .enumerate()
-            .filter(|(i, _)| {
-                let age = (now - (self.start + *i as Round)) as u32;
-                age >= min_age && age <= max_age
-            })
-            .map(|(_, (mine, theirs))| (theirs & !mine).count_ones() as usize)
+        self.band(other, now, min_age, max_age)
+            .flat_map(|(_, mine, theirs)| mine.iter().zip(theirs))
+            .map(|(&m, &t)| (t & !m).count_ones() as usize)
             .sum()
-    }
-
-    /// Union `other` into `self` (used for pooled attacker knowledge and
-    /// out-of-band deliveries).
-    pub fn union_with(&mut self, other: &WindowSet) {
-        self.check_aligned(other);
-        for (mine, theirs) in self.masks.iter_mut().zip(&other.masks) {
-            *mine |= theirs;
-        }
-    }
-
-    /// Drop every held update, keeping the window's alignment (start,
-    /// shape) intact — the scratch-buffer reset for pool windows that are
-    /// rebuilt each round.
-    pub fn clear(&mut self) {
-        for mask in self.masks.iter_mut() {
-            *mask = 0;
-        }
-    }
-
-    /// Iterate over held updates, oldest release round first.
-    pub fn iter(&self) -> impl Iterator<Item = UpdateId> + '_ {
-        self.masks.iter().enumerate().flat_map(move |(i, &mask)| {
-            let round = self.start + i as Round;
-            (0..self.per_round)
-                .filter(move |&s| mask & (1 << s) != 0)
-                .map(move |slot| UpdateId { round, slot })
-        })
     }
 }
 
@@ -338,121 +430,126 @@ impl WindowSet {
 mod tests {
     use super::*;
 
-    fn window(per_round: u32, lifetime: u32, upto: Round) -> WindowSet {
-        let mut w = WindowSet::new(per_round, lifetime);
+    /// `rows` windows advanced through round `upto`, expiring nothing
+    /// held (the rows are empty until a test inserts).
+    fn slab(rows: usize, per_round: u32, lifetime: u32, upto: Round) -> WindowSlab {
+        let mut w = WindowSlab::new(rows, per_round, lifetime);
         for t in 0..=upto {
-            w.advance(t);
+            advance(&mut w, t);
         }
         w
     }
 
+    /// Advance every row, returning each row's expired mask.
+    fn advance(w: &mut WindowSlab, t: Round) -> Option<(Round, Vec<u64>)> {
+        let expired = w
+            .expiring()
+            .map(|(r, slot)| (r, (0..w.rows()).map(|i| w.take(i, slot)).collect()));
+        w.advance(t);
+        expired
+    }
+
     #[test]
     fn insert_contains_roundtrip() {
-        let mut w = window(10, 3, 0);
+        let mut w = slab(1, 10, 3, 0);
         let id = UpdateId { round: 0, slot: 7 };
-        assert!(w.insert(id));
-        assert!(!w.insert(id));
-        assert!(w.contains(id));
-        assert!(!w.contains(UpdateId { round: 0, slot: 8 }));
-        assert_eq!(w.len(), 1);
-    }
-
-    #[test]
-    fn skip_to_matches_dense_advancement() {
-        // Both before the first expiry and well after it, a fast-forward
-        // must land on exactly the state a round-at-a-time advance of an
-        // empty window reaches: same alignment, same (zero) masks, and
-        // the next advance behaves identically.
-        for upto in [0, 2, 4, 5, 17] {
-            let dense = window(4, 5, upto);
-            let mut lazy = WindowSet::new(4, 5);
-            lazy.skip_to(upto);
-            assert_eq!(lazy.start(), dense.start(), "start after skip_to({upto})");
-            assert_eq!(lazy.len(), 0);
-            assert_eq!(lazy.missing_from(&dense), 0);
-            let mut d2 = dense.clone();
-            assert_eq!(lazy.advance(upto + 1), d2.advance(upto + 1));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "fresh, empty window")]
-    fn skip_to_rejects_populated_windows() {
-        let mut w = window(4, 5, 1);
-        w.insert(UpdateId { round: 1, slot: 0 });
-        w.skip_to(3);
-    }
-
-    #[test]
-    #[should_panic(expected = "rewind")]
-    fn skip_to_rejects_rewinds() {
-        let mut w = window(4, 8, 3); // empty, start still 0, 4 masks queued
-        w.skip_to(1);
+        assert!(w.insert(0, id));
+        assert!(!w.insert(0, id));
+        assert!(w.row(0).contains(id));
+        assert!(!w.row(0).contains(UpdateId { round: 0, slot: 8 }));
+        assert_eq!(w.row(0).len(), 1);
     }
 
     #[test]
     fn advance_expires_oldest() {
-        let mut w = window(4, 2, 1);
-        w.insert(UpdateId { round: 0, slot: 1 });
-        w.insert(UpdateId { round: 1, slot: 2 });
-        let expired = w.advance(2);
-        assert_eq!(expired, Some((0, 0b10)));
-        assert!(!w.contains(UpdateId { round: 0, slot: 1 }));
-        assert!(w.contains(UpdateId { round: 1, slot: 2 }));
+        let mut w = slab(1, 4, 2, 1);
+        w.insert(0, UpdateId { round: 0, slot: 1 });
+        w.insert(0, UpdateId { round: 1, slot: 2 });
+        let expired = advance(&mut w, 2);
+        assert_eq!(expired, Some((0, vec![0b10])));
+        assert!(!w.row(0).contains(UpdateId { round: 0, slot: 1 }));
+        assert!(w.row(0).contains(UpdateId { round: 1, slot: 2 }));
         assert_eq!(w.start(), 1);
+    }
+
+    #[test]
+    fn ring_wraps_in_release_order() {
+        // Past several wraps, the live masks still come out oldest first
+        // and the recycled slot starts empty.
+        let mut w = slab(2, 8, 3, 6); // live rounds 4..=6, head mid-ring
+        for r in 4..=6u64 {
+            w.insert(
+                1,
+                UpdateId {
+                    round: r,
+                    slot: r as u32,
+                },
+            );
+        }
+        let mut out = Vec::new();
+        w.row(0)
+            .wanted_from_into(w.row(1), 6, 10, 0, u32::MAX, &mut out);
+        let rounds: Vec<Round> = out.iter().map(|u| u.round).collect();
+        assert_eq!(rounds, vec![4, 5, 6]);
+        assert_eq!(advance(&mut w, 7), Some((4, vec![0, 1 << 4])));
+        assert_eq!(w.row(1).mask(7), Some(0), "the new round starts empty");
+        assert_eq!(w.row(1).len(), 2);
     }
 
     #[test]
     #[should_panic(expected = "out of order")]
     fn advance_must_be_sequential() {
-        let mut w = WindowSet::new(4, 2);
+        let mut w = WindowSlab::new(1, 4, 2);
         w.advance(1);
     }
 
     #[test]
     fn expired_insert_is_ignored() {
-        let mut w = window(4, 2, 3);
-        assert!(!w.insert(UpdateId { round: 0, slot: 0 }));
-        assert!(!w.contains(UpdateId { round: 0, slot: 0 }));
-        assert!(!w.is_live(UpdateId { round: 0, slot: 0 }));
+        let mut w = slab(1, 4, 2, 3);
+        assert!(!w.insert(0, UpdateId { round: 0, slot: 0 }));
+        assert!(!w.row(0).contains(UpdateId { round: 0, slot: 0 }));
+        assert_eq!(w.row(0).mask(0), None);
     }
 
     #[test]
     #[should_panic(expected = "slot")]
     fn insert_validates_slot() {
-        let mut w = window(4, 2, 0);
-        w.insert(UpdateId { round: 0, slot: 4 });
+        let mut w = slab(1, 4, 2, 0);
+        w.insert(0, UpdateId { round: 0, slot: 4 });
     }
 
     #[test]
     fn missing_from_counts() {
-        let mut a = window(8, 2, 1);
-        let mut b = window(8, 2, 1);
-        b.insert(UpdateId { round: 0, slot: 0 });
-        b.insert(UpdateId { round: 1, slot: 3 });
-        a.insert(UpdateId { round: 1, slot: 3 });
-        assert_eq!(a.missing_from(&b), 1);
-        assert_eq!(b.missing_from(&a), 0);
+        let mut w = slab(2, 8, 2, 1);
+        w.insert(1, UpdateId { round: 0, slot: 0 });
+        w.insert(1, UpdateId { round: 1, slot: 3 });
+        w.insert(0, UpdateId { round: 1, slot: 3 });
+        assert_eq!(w.row(0).missing_from(w.row(1)), 1);
+        assert_eq!(w.row(1).missing_from(w.row(0)), 0);
     }
 
     #[test]
     #[should_panic(expected = "not aligned")]
-    fn misaligned_windows_panic() {
-        let a = window(8, 2, 1);
-        let b = window(8, 2, 2);
-        let _ = a.missing_from(&b);
+    fn rows_of_different_slabs_panic() {
+        let a = slab(1, 8, 2, 1);
+        let b = slab(1, 8, 2, 2);
+        let _ = a.row(0).missing_from(b.row(0));
     }
 
     #[test]
     fn wanted_from_is_oldest_first_and_limited() {
-        let mut a = window(8, 4, 3); // live rounds 0..=3, now = 3
-        let mut b = window(8, 4, 3);
+        let mut w = slab(2, 8, 4, 3); // live rounds 0..=3, now = 3
         for (r, s) in [(0u64, 1u32), (1, 2), (2, 3), (3, 4)] {
-            b.insert(UpdateId { round: r, slot: s });
+            w.insert(1, UpdateId { round: r, slot: s });
         }
-        let want = a.wanted_from(&b, 3, 10, 0, u32::MAX);
+        let want = |w: &WindowSlab, limit, min_age, max_age| {
+            let mut out = Vec::new();
+            w.row(0)
+                .wanted_from_into(w.row(1), 3, limit, min_age, max_age, &mut out);
+            out
+        };
         assert_eq!(
-            want,
+            want(&w, 10, 0, u32::MAX),
             vec![
                 UpdateId { round: 0, slot: 1 },
                 UpdateId { round: 1, slot: 2 },
@@ -460,86 +557,67 @@ mod tests {
                 UpdateId { round: 3, slot: 4 },
             ]
         );
-        let limited = a.wanted_from(&b, 3, 2, 0, u32::MAX);
+        let limited = want(&w, 2, 0, u32::MAX);
         assert_eq!(limited.len(), 2);
         assert_eq!(limited[0].round, 0);
         // Age bands: only "old" updates (age >= 2) => rounds 0 and 1.
-        let old = a.wanted_from(&b, 3, 10, 2, u32::MAX);
+        let old = want(&w, 10, 2, u32::MAX);
         assert_eq!(old.len(), 2);
         assert!(old.iter().all(|u| u.round <= 1));
         // Only "recent" (age <= 1) => rounds 2 and 3.
-        let recent = a.wanted_from(&b, 3, 10, 0, 1);
+        let recent = want(&w, 10, 0, 1);
         assert_eq!(recent.len(), 2);
         assert!(recent.iter().all(|u| u.round >= 2));
-        a.insert(UpdateId { round: 0, slot: 1 });
-        assert_eq!(a.wanted_from(&b, 3, 10, 0, u32::MAX).len(), 3);
+        w.insert(0, UpdateId { round: 0, slot: 1 });
+        assert_eq!(want(&w, 10, 0, u32::MAX).len(), 3);
     }
 
     #[test]
     fn wanted_from_into_reuses_buffer_and_clears() {
-        let a = window(8, 4, 3);
-        let mut b = window(8, 4, 3);
-        b.insert(UpdateId { round: 1, slot: 2 });
+        let mut w = slab(2, 8, 4, 3);
+        w.insert(1, UpdateId { round: 1, slot: 2 });
         let mut buf = vec![UpdateId { round: 0, slot: 0 }; 5]; // stale content
-        a.wanted_from_into(&b, 3, 10, 0, u32::MAX, &mut buf);
+        w.row(0)
+            .wanted_from_into(w.row(1), 3, 10, 0, u32::MAX, &mut buf);
         assert_eq!(buf, vec![UpdateId { round: 1, slot: 2 }]);
-        assert_eq!(
-            buf,
-            a.wanted_from(&b, 3, 10, 0, u32::MAX),
-            "into-variant matches the allocating form"
-        );
     }
 
     #[test]
-    fn clear_keeps_alignment() {
-        let mut w = window(8, 3, 4);
-        w.insert(UpdateId { round: 3, slot: 1 });
+    fn clear_row_keeps_alignment() {
+        let mut w = slab(2, 8, 3, 4);
+        w.insert(0, UpdateId { round: 3, slot: 1 });
+        w.insert(1, UpdateId { round: 3, slot: 2 });
         let start = w.start();
-        w.clear();
-        assert!(w.is_empty());
+        w.clear_row(0);
+        assert!(w.row(0).is_empty());
+        assert_eq!(w.row(1).len(), 1, "other rows untouched");
         assert_eq!(w.start(), start, "clear preserves window alignment");
-        assert!(w.insert(UpdateId { round: 4, slot: 0 }), "still usable");
-        w.advance(5); // alignment intact: sequential advance still works
+        assert!(w.insert(0, UpdateId { round: 4, slot: 0 }), "still usable");
+        advance(&mut w, 5); // alignment intact: sequential advance still works
     }
 
     #[test]
     fn missing_in_age_band_matches_wanted() {
-        let a = window(8, 4, 3);
-        let mut b = window(8, 4, 3);
+        let mut w = slab(2, 8, 4, 3);
         for (r, s) in [(0u64, 1u32), (2, 3)] {
-            b.insert(UpdateId { round: r, slot: s });
+            w.insert(1, UpdateId { round: r, slot: s });
         }
-        assert_eq!(a.missing_in_age_band(&b, 3, 2, u32::MAX), 1);
-        assert_eq!(a.missing_in_age_band(&b, 3, 0, 1), 1);
-        assert_eq!(a.missing_in_age_band(&b, 3, 0, u32::MAX), 2);
+        let (a, b) = (w.row(0), w.row(1));
+        assert_eq!(a.missing_in_age_band(b, 3, 2, u32::MAX), 1);
+        assert_eq!(a.missing_in_age_band(b, 3, 0, 1), 1);
+        assert_eq!(a.missing_in_age_band(b, 3, 0, u32::MAX), 2);
     }
 
     #[test]
-    fn union_with_merges() {
-        let mut a = window(8, 2, 1);
-        let mut b = window(8, 2, 1);
-        a.insert(UpdateId { round: 0, slot: 0 });
-        b.insert(UpdateId { round: 1, slot: 1 });
-        a.union_with(&b);
-        assert_eq!(a.len(), 2);
-        assert!(a.contains(UpdateId { round: 1, slot: 1 }));
-    }
-
-    #[test]
-    fn iter_in_release_order() {
-        let mut w = window(8, 3, 2);
-        w.insert(UpdateId { round: 2, slot: 0 });
-        w.insert(UpdateId { round: 0, slot: 5 });
-        w.insert(UpdateId { round: 0, slot: 2 });
-        let ids: Vec<UpdateId> = w.iter().collect();
-        assert_eq!(
-            ids,
-            vec![
-                UpdateId { round: 0, slot: 2 },
-                UpdateId { round: 0, slot: 5 },
-                UpdateId { round: 2, slot: 0 },
-            ]
-        );
+    fn union_merges() {
+        let mut w = slab(2, 8, 2, 1);
+        w.insert(0, UpdateId { round: 0, slot: 0 });
+        w.insert(1, UpdateId { round: 1, slot: 1 });
+        w.union(0, 1);
+        assert_eq!(w.row(0).len(), 2);
+        assert!(w.row(0).contains(UpdateId { round: 1, slot: 1 }));
+        w.union(1, 0);
+        assert_eq!(w.row(1).len(), 2, "union works in both directions");
     }
 
     #[test]
@@ -550,14 +628,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "per_round")]
     fn per_round_validated() {
-        WindowSet::new(65, 2);
+        WindowSlab::new(1, 65, 2);
     }
 
     #[test]
     fn window_shorter_than_lifetime_keeps_everything() {
-        let mut w = WindowSet::new(4, 5);
+        let mut w = WindowSlab::new(1, 4, 5);
         for t in 0..3 {
-            assert_eq!(w.advance(t), None);
+            assert_eq!(advance(&mut w, t), None);
         }
         assert_eq!(w.start(), 0);
     }

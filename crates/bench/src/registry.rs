@@ -987,10 +987,13 @@ fn build_bar_gossip_1m(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, Str
     // 10 here); the 990k held-back nodes burst in at the final round, so
     // every benched run pays exactly one full-crowd round — the engine's
     // O(active) steady state for nine steps, then a million-node engage
-    // and exchange round. Move the burst earlier (e.g.
-    // --param arrival=burst:5:990000) to land the crowd inside the
-    // measured metric window instead; each earlier round is another
-    // full-crowd round of wall-clock.
+    // and exchange round. Engaging costs no window work (every node's
+    // window is a row of one preallocated slab, zero until written), and
+    // a fresh initiator's exchange reads no partner row, so that round
+    // is dominated by the 1M-pair plan, shuffle and apply. Move the
+    // burst earlier (e.g. --param arrival=burst:5:990000) to land the
+    // crowd inside the measured metric window instead; each earlier
+    // round is another full-crowd round of wall-clock.
     base.set("arrival", "burst:9:990000");
     base.set("rounds", "4");
     base.set("warmup_rounds", "2");

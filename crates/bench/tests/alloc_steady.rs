@@ -167,10 +167,10 @@ fn sharded_multi_shard_steady_step_is_alloc_free() {
 
 #[test]
 fn flash_crowd_landing_leaves_steady_steps_alloc_free() {
-    // The crowd lands during warm-up (round 10 < the 30 warm-up steps):
-    // the engage step may allocate then, but every measured step
-    // afterwards — now at full multi-shard occupancy — must be
-    // allocation-free.
+    // The crowd lands during warm-up (round 10 < the 30 warm-up steps);
+    // every measured step afterwards — now at full multi-shard
+    // occupancy — must be allocation-free. The landing step itself is
+    // `flash_crowd_landing_step_is_alloc_free`.
     assert_steady_steps_alloc_free(
         "bar-gossip",
         "trade",
@@ -180,6 +180,37 @@ fn flash_crowd_landing_leaves_steady_steps_alloc_free() {
             ("arrival", "burst:10:2000"),
         ],
     );
+}
+
+#[test]
+fn flash_crowd_landing_step_is_alloc_free() {
+    // The landing step itself: the crowd arrives at round 10 and engages.
+    // Their windows are rows of the construction-time slab, already
+    // zero and in lockstep, so engaging them allocates nothing; the
+    // exchange plan is reserved for the whole population up front.
+    use bar_gossip::{AttackPlan, BarGossipConfig, BarGossipSim};
+    use lotus_core::population::ArrivalProcess;
+    use lotus_core::scenario::Scenario;
+    let cfg = BarGossipConfig::builder()
+        .nodes(2500)
+        .rounds(60)
+        .arrival(ArrivalProcess::parse("burst:10:2000").expect("arrival spec"))
+        .run_threads(1)
+        .build()
+        .expect("valid config");
+    let mut sim = BarGossipSim::new(cfg, AttackPlan::trade_lotus_eater(0.3, 0.7), 1);
+    for _ in 0..10 {
+        assert_eq!(sim.step(), StepOutcome::Continue);
+    }
+    let waiting = sim.shard_map().active_count();
+    let mut outcome = StepOutcome::Done;
+    let stats = measure(|| outcome = sim.step());
+    assert_eq!(outcome, StepOutcome::Continue);
+    assert!(
+        waiting < 1000 && sim.shard_map().active_count() == 2500,
+        "the crowd lands in the measured step ({waiting} active before)"
+    );
+    assert!(stats.is_zero(), "the landing step allocated: {stats:?}");
 }
 
 #[test]

@@ -192,6 +192,14 @@ impl ExchangePlan {
         ExchangePlan::default()
     }
 
+    /// An empty plan with room for `count` pairs, so batches up to that
+    /// size never reallocate.
+    pub fn with_capacity(count: usize) -> Self {
+        ExchangePlan {
+            entries: Vec::with_capacity(count),
+        }
+    }
+
     /// Number of planned pairs.
     pub fn len(&self) -> usize {
         self.entries.len()
