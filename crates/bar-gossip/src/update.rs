@@ -103,11 +103,6 @@ impl WindowSlab {
         }
     }
 
-    /// Number of rows.
-    pub fn rows(&self) -> usize {
-        self.masks.len() / self.lifetime
-    }
-
     /// Release round of the oldest live mask (0 before any expiry).
     pub fn start(&self) -> Round {
         self.start
@@ -442,9 +437,10 @@ mod tests {
 
     /// Advance every row, returning each row's expired mask.
     fn advance(w: &mut WindowSlab, t: Round) -> Option<(Round, Vec<u64>)> {
-        let expired = w
-            .expiring()
-            .map(|(r, slot)| (r, (0..w.rows()).map(|i| w.take(i, slot)).collect()));
+        let expired = w.expiring().map(|(r, slot)| {
+            let rows = w.masks.len() / w.lifetime;
+            (r, (0..rows).map(|i| w.take(i, slot)).collect())
+        });
         w.advance(t);
         expired
     }
