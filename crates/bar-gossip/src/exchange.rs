@@ -41,6 +41,7 @@ impl BalancedOutcome {
 /// defense) a node receiving at least one update is willing to give one
 /// extra, so the needier side receives `min + 1` where available.
 /// `rate_limit` caps each direction (the X9 defense).
+// lint: hot-loop
 pub fn balanced_exchange_into(
     initiator: WindowRow<'_>,
     responder: WindowRow<'_>,
@@ -53,7 +54,8 @@ pub fn balanced_exchange_into(
     if initiator.is_empty() {
         // The initiator has nothing to give, so it receives nothing
         // either — without reading the responder's row (at flash-crowd
-        // scale most initiators are fresh).
+        // scale most initiators are fresh, and a fresh row answers
+        // `is_empty` from its occupancy bit, without reading itself).
         out.to_initiator.clear();
         out.to_responder.clear();
         return;
@@ -107,6 +109,7 @@ impl PushOutcome {
 /// is *optimistic* because the initiator may be paid entirely in junk.
 /// The outcome's buffers are cleared first, so hot loops reuse them.
 #[allow(clippy::too_many_arguments)]
+// lint: hot-loop
 pub fn optimistic_push_into(
     initiator: WindowRow<'_>,
     responder: WindowRow<'_>,

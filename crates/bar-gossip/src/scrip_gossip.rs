@@ -165,7 +165,9 @@ pub struct ScripGossipSim {
     plan: AttackPlan,
     nodes: Vec<ScripNode>,
     /// Update windows: row `i < n` is node `i`'s, then the `full` and
-    /// `pool` rows.
+    /// `pool` rows. A row with a clear occupancy bit holds nothing, so
+    /// the advance's take and the pool's per-round rebuild (a union from
+    /// each attacker row) skip it without reading its masks.
     windows: WindowSlab,
     /// Row of `windows` holding every update released.
     full: usize,

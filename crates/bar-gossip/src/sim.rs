@@ -260,7 +260,9 @@ pub struct BarGossipSim {
     /// Update windows: row `i < n` is node `i`'s, then the `full` and
     /// `pool` rows. All rows share one lockstep geometry; a node's row
     /// is only written once the node is *engaged* (has ever been
-    /// present), so it is all zero until then; see `engaged`.
+    /// present), so it is all zero until then; see `engaged`. A row
+    /// nobody wrote to also has a clear occupancy bit, so every kernel
+    /// answers for it from the bit, without reading its masks.
     windows: WindowSlab,
     /// Metric class fixed at assignment time (isolated vs satiated).
     class: Vec<NodeClass>,
@@ -279,8 +281,8 @@ pub struct BarGossipSim {
     /// advance `O(engaged)` instead of `O(population)`) and it
     /// accumulates zero deliveries — exactly what the dense path
     /// computed for it. On arrival its all-zero row is already in
-    /// lockstep; only its unusable-round counter is seeded, with the
-    /// measured expiries it slept through.
+    /// lockstep (with a clear occupancy bit); only its unusable-round
+    /// counter is seeded, with the measured expiries it slept through.
     engaged: BitSet,
     /// The sharded activity index over node indices: active = live in
     /// the environment (present ∧ ¬down ∧ ¬cut) ∧ ¬evicted, rebuilt
@@ -632,7 +634,8 @@ impl BarGossipSim {
     /// unusable-round counter with the measured expiries it slept
     /// through (a disengaged node delivered nothing in each of them,
     /// exactly like an empty dense window). Its row needs no work: it
-    /// was never written, so it is the empty window in lockstep.
+    /// was never written, so it is the empty window in lockstep, and
+    /// its occupancy bit is clear until something is written to it.
     fn ensure_engaged(&mut self, i: usize) {
         if self.engaged.contains(i) {
             return;
@@ -697,15 +700,15 @@ impl BarGossipSim {
             Fate::Deliver
         };
         if payload > 0 {
-            self.meter.transfer(from, to, MsgClass::Payload, payload);
+            self.meter.upload(from, MsgClass::Payload, payload);
         }
         if junk > 0 {
-            self.meter.transfer(from, to, MsgClass::Junk, junk);
+            self.meter.upload(from, MsgClass::Junk, junk);
         }
         match fate {
             Fate::Drop => false,
             Fate::Duplicate => {
-                self.meter.transfer(from, to, MsgClass::Junk, units);
+                self.meter.upload(from, MsgClass::Junk, units);
                 true
             }
             Fate::Deliver => true,
@@ -755,7 +758,9 @@ impl BarGossipSim {
     /// The expiring round's slot is read and zeroed only in *engaged*
     /// rows (plus `full` and `pool`) — `O(engaged)`, the hottest win of
     /// the sharded engine at flash-crowd scale; a disengaged row is zero
-    /// there already. A disengaged node's dense contribution was always
+    /// there already. An engaged row nobody has written to yet (a crowd
+    /// node in its landing round) answers the take from its occupancy
+    /// bit, so the loop reads its masks only for rows holding something. A disengaged node's dense contribution was always
     /// `got = 0` with one unusable round per measured expiry; the class
     /// totals below use the static per-class counts (every window
     /// expired in lockstep in the dense loop, so its `class_nodes` tally
@@ -860,12 +865,8 @@ impl BarGossipSim {
                 .missing_from(self.windows.row(self.pool)) as u64;
             if gained > 0 {
                 self.windows.union(i, self.pool);
-                self.meter.transfer(
-                    NodeId(rep as u32),
-                    NodeId(i as u32),
-                    MsgClass::Payload,
-                    gained,
-                );
+                self.meter
+                    .upload(NodeId(rep as u32), MsgClass::Payload, gained);
             }
         }
     }
@@ -960,10 +961,10 @@ impl BarGossipSim {
         self.windows.union(ib, ia);
         self.windows.union(ia, ib);
         if gained_b > 0 {
-            self.meter.transfer(a, b, MsgClass::Payload, gained_b);
+            self.meter.upload(a, MsgClass::Payload, gained_b);
         }
         if gained_a > 0 {
-            self.meter.transfer(b, a, MsgClass::Payload, gained_a);
+            self.meter.upload(b, MsgClass::Payload, gained_a);
         }
     }
 

@@ -21,6 +21,19 @@
 //! accounting), and the slot is zero and ready when
 //! [`WindowSlab::advance`] bumps `head`. A row nobody has written to is
 //! all zero, which is what an empty window advanced in lockstep holds.
+//!
+//! Beside the masks the slab keeps one *occupancy bit* per row (1M rows
+//! take 128 KB, which stays in cache where the masks do not). Every write
+//! sets it — an insert, a union from a source that holds something — and
+//! [`WindowSlab::clear_row`] clears it. The invariant is one-way: **a
+//! clear bit means the row is all zero**. A set bit promises nothing: it
+//! stays set when expiry empties a row, and then the kernels fall back to
+//! reading the masks. `is_empty`, `missing_from`, `missing_in_age_band`,
+//! `wanted_from_into`, `union` and `take` answer for a clear row without
+//! touching its masks, so a row nobody wrote to (a fresh flash-crowd node)
+//! costs a bit test, not a random cache miss, in every exchange it takes
+//! part in and in every advance. Where every row holds something the bits
+//! are pure overhead: one fetch and test per kernel call.
 
 use netsim::Round;
 use std::ops::Range;
@@ -69,6 +82,9 @@ pub const MAX_UPDATES_PER_ROUND: u32 = 64;
 pub struct WindowSlab {
     /// `rows × lifetime` masks; row `r` owns `r*lifetime..(r+1)*lifetime`.
     masks: Vec<u64>,
+    /// One bit per row, bit `r % 64` of word `r / 64`; clear means row
+    /// `r` is all zero (set means nothing either way).
+    occupied: Vec<u64>,
     per_round: u32,
     lifetime: usize,
     /// Release round of the oldest live mask.
@@ -95,6 +111,7 @@ impl WindowSlab {
         assert!(lifetime > 0, "lifetime must be positive");
         WindowSlab {
             masks: vec![0; rows * lifetime as usize],
+            occupied: vec![0; rows.div_ceil(64)],
             per_round,
             lifetime: lifetime as usize,
             start: 0,
@@ -114,11 +131,30 @@ impl WindowSlab {
         (self.len == self.lifetime).then_some((self.start, self.head))
     }
 
+    /// Whether `row`'s occupancy bit is set (if not, the row is all
+    /// zero).
+    #[inline]
+    fn occupied(&self, row: usize) -> bool {
+        self.occupied[row / 64] & (1 << (row % 64)) != 0
+    }
+
+    /// Set `row`'s occupancy bit (before writing to its masks).
+    #[inline]
+    fn occupy(&mut self, row: usize) {
+        self.occupied[row / 64] |= 1 << (row % 64);
+    }
+
     /// Read and zero `row`'s mask at physical `slot` (from
-    /// [`WindowSlab::expiring`]). A zero mask is not written back, so
-    /// rows nobody wrote to stay on untouched pages.
+    /// [`WindowSlab::expiring`]). An unoccupied row answers 0 without a
+    /// read, and a zero mask is not written back, so rows nobody wrote to
+    /// stay on untouched pages. The occupancy bit stays set even if this
+    /// empties the row: clearing it would mean rescanning the row.
+    // lint: hot-loop
     #[inline]
     pub fn take(&mut self, row: usize, slot: usize) -> u64 {
+        if !self.occupied(row) {
+            return 0;
+        }
         let mask = &mut self.masks[row * self.lifetime + slot];
         let taken = *mask;
         if taken != 0 {
@@ -169,6 +205,7 @@ impl WindowSlab {
         WindowRow {
             slab: self,
             masks: &self.masks[base..base + self.lifetime],
+            occupied: self.occupied(row),
         }
     }
 
@@ -228,12 +265,14 @@ impl WindowSlab {
     /// # Panics
     ///
     /// Panics if `id.slot >= per_round`.
+    // lint: hot-loop
     #[inline]
     pub fn insert(&mut self, row: usize, id: UpdateId) -> bool {
         assert!(id.slot < self.per_round, "slot {} out of range", id.slot);
         let Some(slot) = self.slot_of(id.round) else {
             return false;
         };
+        self.occupy(row);
         let mask = &mut self.masks[row * self.lifetime + slot];
         let bit = 1u64 << id.slot;
         let had = *mask & bit != 0;
@@ -242,11 +281,13 @@ impl WindowSlab {
     }
 
     /// Union row `src` into row `dst` (pooled attacker knowledge and
-    /// out-of-band deliveries).
+    /// out-of-band deliveries). A no-op from an unoccupied source.
+    // lint: hot-loop
     pub fn union(&mut self, dst: usize, src: usize) {
-        if dst == src {
+        if dst == src || !self.occupied(src) {
             return;
         }
+        self.occupy(dst);
         let l = self.lifetime;
         let (d, s) = if dst < src {
             let (lo, hi) = self.masks.split_at_mut(src * l);
@@ -263,6 +304,10 @@ impl WindowSlab {
     /// Drop every update `row` holds; the row stays aligned with the
     /// slab (a crash's state loss, the pool's per-round rebuild).
     pub fn clear_row(&mut self, row: usize) {
+        if !self.occupied(row) {
+            return; // all zero already
+        }
+        self.occupied[row / 64] &= !(1 << (row % 64));
         let base = row * self.lifetime;
         self.masks[base..base + self.lifetime].fill(0);
     }
@@ -274,6 +319,9 @@ impl WindowSlab {
 pub struct WindowRow<'a> {
     slab: &'a WindowSlab,
     masks: &'a [u64],
+    /// The row's occupancy bit: if `false`, every mask is zero and the
+    /// kernels answer without reading `masks`.
+    occupied: bool,
 }
 
 impl<'a> WindowRow<'a> {
@@ -315,10 +363,18 @@ impl<'a> WindowRow<'a> {
             .chain((b0..).zip(masks[b].iter().copied()))
     }
 
-    /// `true` if no update is held. Slots outside the live rounds are
-    /// always zero, so this covers the whole row.
+    /// The row's occupancy bit. `false` guarantees the row holds
+    /// nothing; `true` guarantees nothing (expiry may have emptied it).
+    pub fn is_occupied(self) -> bool {
+        self.occupied
+    }
+
+    /// `true` if no update is held: a bit test for an unoccupied row,
+    /// else a scan. Slots outside the live rounds are always zero, so the
+    /// scan covers the whole row.
+    #[inline]
     pub fn is_empty(self) -> bool {
-        self.masks.iter().all(|&m| m == 0)
+        !self.occupied || self.masks.iter().all(|&m| m == 0)
     }
 
     /// Panics unless `other` is a row of the same slab: only then do its
@@ -357,9 +413,16 @@ impl<'a> WindowRow<'a> {
     /// # Panics
     ///
     /// Panics if `other` is a row of a different slab.
+    // lint: hot-loop
     #[inline]
     pub fn missing_from(self, other: WindowRow<'a>) -> usize {
         self.check_aligned(other);
+        if !other.occupied {
+            return 0;
+        }
+        if !self.occupied {
+            return other.len();
+        }
         self.masks
             .iter()
             .zip(other.masks)
@@ -374,6 +437,7 @@ impl<'a> WindowRow<'a> {
     ///
     /// "Oldest first" models nodes prioritising updates closest to
     /// expiry.
+    // lint: hot-loop
     pub fn wanted_from_into(
         self,
         other: WindowRow<'a>,
@@ -384,7 +448,7 @@ impl<'a> WindowRow<'a> {
         out: &mut Vec<UpdateId>,
     ) {
         out.clear();
-        if limit == 0 {
+        if limit == 0 || !other.occupied {
             return;
         }
         for (first, mine, theirs) in self.band(other, now, min_age, max_age) {
@@ -406,7 +470,9 @@ impl<'a> WindowRow<'a> {
     }
 
     /// Count of updates in `other` missing from this row within the age
-    /// band `min_age..=max_age`.
+    /// band `min_age..=max_age`. An unoccupied row lacks all of `other`'s
+    /// band, so only `other` is read.
+    // lint: hot-loop
     pub fn missing_in_age_band(
         self,
         other: WindowRow<'a>,
@@ -414,6 +480,17 @@ impl<'a> WindowRow<'a> {
         min_age: u32,
         max_age: u32,
     ) -> usize {
+        if !self.occupied {
+            self.check_aligned(other);
+            let mut n = 0;
+            for (_, run) in self.slab.band(now, min_age, max_age) {
+                n += other.masks[run]
+                    .iter()
+                    .map(|m| m.count_ones() as usize)
+                    .sum::<usize>();
+            }
+            return n;
+        }
         self.band(other, now, min_age, max_age)
             .flat_map(|(_, mine, theirs)| mine.iter().zip(theirs))
             .map(|(&m, &t)| (t & !m).count_ones() as usize)
@@ -614,6 +691,85 @@ mod tests {
         assert!(w.row(0).contains(UpdateId { round: 1, slot: 1 }));
         w.union(1, 0);
         assert_eq!(w.row(1).len(), 2, "union works in both directions");
+    }
+
+    #[test]
+    fn union_from_an_empty_source_leaves_the_destination_clear() {
+        let mut w = slab(3, 8, 2, 1);
+        w.union(0, 1);
+        assert!(!w.row(0).is_occupied(), "nothing was written");
+        assert!(w.row(0).is_empty());
+        // A held source occupies the destination, an empty one not.
+        w.insert(2, UpdateId { round: 1, slot: 5 });
+        w.union(0, 2);
+        assert!(w.row(0).is_occupied());
+        w.union(1, 0);
+        w.union(1, 2);
+        assert_eq!(w.row(1).len(), 1);
+        w.clear_row(2);
+        w.union(2, 1);
+        assert_eq!(w.row(2).mask(1), Some(1 << 5));
+    }
+
+    #[test]
+    fn clear_row_clears_the_occupancy_bit() {
+        let mut w = slab(2, 8, 3, 2);
+        assert!(!w.row(0).is_occupied(), "a new row is unoccupied");
+        w.insert(0, UpdateId { round: 2, slot: 3 });
+        assert!(w.row(0).is_occupied());
+        w.clear_row(0);
+        assert!(!w.row(0).is_occupied());
+        assert!(w.row(0).is_empty());
+        assert_eq!(w.row(0).mask(2), Some(0));
+        // Clearing an unoccupied row is a no-op.
+        w.clear_row(1);
+        assert!(!w.row(1).is_occupied());
+        // An expired insert writes nothing, so it occupies nothing.
+        assert!(!w.insert(1, UpdateId { round: 9, slot: 0 }));
+        assert!(!w.row(1).is_occupied());
+    }
+
+    #[test]
+    fn row_emptied_by_expiry_keeps_its_bit_and_answers_correctly() {
+        let mut w = slab(2, 8, 2, 1);
+        w.insert(0, UpdateId { round: 0, slot: 1 });
+        w.insert(1, UpdateId { round: 1, slot: 2 });
+        assert_eq!(advance(&mut w, 2), Some((0, vec![0b10, 0])));
+        let (a, b) = (w.row(0), w.row(1));
+        assert!(a.is_occupied(), "expiry does not rescan the row");
+        assert!(a.is_empty());
+        assert_eq!(a.len(), 0);
+        assert_eq!(a.missing_from(b), 1);
+        assert_eq!(b.missing_from(a), 0);
+        assert_eq!(a.missing_in_age_band(b, 2, 0, u32::MAX), 1);
+        assert_eq!(b.missing_in_age_band(a, 2, 0, u32::MAX), 0);
+        let mut out = Vec::new();
+        b.wanted_from_into(a, 2, 10, 0, u32::MAX, &mut out);
+        assert!(out.is_empty());
+        a.wanted_from_into(b, 2, 10, 0, u32::MAX, &mut out);
+        assert_eq!(out, vec![UpdateId { round: 1, slot: 2 }]);
+        // Its masks are zero, so taking its next expiry reads 0.
+        assert_eq!(advance(&mut w, 3), Some((1, vec![0, 1 << 2])));
+    }
+
+    #[test]
+    fn unoccupied_rows_answer_without_their_masks() {
+        // Row 0 unoccupied, row 1 holding three updates in two rounds.
+        let mut w = slab(2, 8, 3, 2);
+        for (round, slot) in [(0u64, 0u32), (0, 1), (2, 7)] {
+            w.insert(1, UpdateId { round, slot });
+        }
+        let (a, b) = (w.row(0), w.row(1));
+        assert!(!a.is_occupied() && b.is_occupied());
+        assert_eq!(a.missing_from(b), 3);
+        assert_eq!(b.missing_from(a), 0);
+        assert_eq!(a.missing_in_age_band(b, 2, 2, u32::MAX), 2);
+        assert_eq!(a.missing_in_age_band(b, 2, 0, 1), 1);
+        assert_eq!(b.missing_in_age_band(a, 2, 0, u32::MAX), 0);
+        let mut out = vec![UpdateId { round: 0, slot: 0 }];
+        b.wanted_from_into(a, 2, 10, 0, u32::MAX, &mut out);
+        assert!(out.is_empty(), "the buffer is cleared");
+        assert_eq!(w.take(0, 0), 0);
     }
 
     #[test]

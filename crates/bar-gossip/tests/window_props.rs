@@ -3,15 +3,20 @@
 //! [`proptest_lite`](lotus_core::proptest_lite) harness.
 //!
 //! * **Window model.** Random sequences of advance, insert, crash-clear,
-//!   engage and union over a few rows are checked against a naive model:
-//!   one `BTreeSet<UpdateId>` per row, pruned to the live rounds on every
-//!   advance. As in the simulator, only engaged rows are written and
-//!   only their expiring masks are taken; a row that was never engaged
-//!   must read as an empty window in lockstep. After every operation
-//!   each row must agree with its set on `contains`, `len` and its live
-//!   masks in release order, and every ordered pair of rows on
-//!   `missing_from`, `missing_in_age_band` and `wanted_from_into`
-//!   (oldest first, at most `limit`, inside the age band).
+//!   engage and union (from any row, so also from never-written, cleared
+//!   and expired-empty ones) over a few rows are checked against a naive
+//!   model: one `BTreeSet<UpdateId>` per row, pruned to the live rounds
+//!   on every advance. As in the simulator, only engaged rows are written
+//!   and only their expiring masks are taken; a row that was never
+//!   engaged must read as an empty window in lockstep. After every
+//!   operation each row must keep the occupancy invariant (a clear bit
+//!   means its masks are all zero) and agree with its set on `contains`,
+//!   `len`, `is_empty` and its live masks in release order, and every
+//!   ordered pair of rows on `missing_from`, `missing_in_age_band` and
+//!   `wanted_from_into` (oldest first, at most `limit`, inside the age
+//!   band). Pairs cover every mix of occupied, unoccupied and
+//!   expired-empty rows, so the kernels' bit-test answers are checked
+//!   against the same model as their mask scans.
 //! * **Exchange invariants.** A balanced exchange never trades more than
 //!   one-for-one plus the unbalanced defense's single extra, honours the
 //!   rate cap and only moves useful, available updates; a push pays
@@ -72,6 +77,16 @@ fn agree(
             .collect();
         if masks != want {
             return Err(format!("row {i}: live masks {masks:?} vs model {want:?}"));
+        }
+        if !row.is_occupied() && masks.iter().any(|&(_, m)| m != 0) {
+            return Err(format!("row {i}: clear occupancy bit over masks {masks:?}"));
+        }
+        if row.is_empty() != set.is_empty() {
+            return Err(format!(
+                "row {i}: is_empty {} vs model {}",
+                row.is_empty(),
+                set.is_empty()
+            ));
         }
         // Every slot of every live round, plus the round just expired.
         for round in w.start().saturating_sub(1)..=now {
@@ -185,25 +200,36 @@ fn slab_rows_match_a_set_per_row_model() {
                     let i = d.int("row", 0, rows as i64 - 1) as usize;
                     w.clear_row(i);
                     model[i].clear();
+                    if w.row(i).is_occupied() {
+                        return Err(format!("row {i}: clear_row left its bit set"));
+                    }
                 }
                 // Engage a waiting row: it must be the empty window.
                 4 => {
                     let i = d.int("row", 0, rows as i64 - 1) as usize;
                     if !engaged[i] {
-                        if !w.row(i).is_empty() {
+                        if w.row(i).is_occupied() || !w.row(i).is_empty() {
                             return Err(format!("row {i} was written before engaging"));
                         }
                         engaged[i] = true;
                     }
                 }
-                // Union between engaged rows.
+                // Union into an engaged row from any row: a waiting row
+                // is the empty window, so that union must write nothing.
                 _ => {
                     let dst = d.int("dst", 0, rows as i64 - 1) as usize;
                     let src = d.int("src", 0, rows as i64 - 1) as usize;
-                    if engaged[dst] && engaged[src] {
+                    if engaged[dst] {
+                        let was = w.row(dst).is_occupied();
+                        let src_clear = !w.row(src).is_occupied();
                         w.union(dst, src);
                         let src_set = model[src].clone();
                         model[dst].extend(src_set);
+                        if src_clear && w.row(dst).is_occupied() != was {
+                            return Err(format!(
+                                "union({dst} <- {src}) from a clear row changed the bit"
+                            ));
+                        }
                     }
                 }
             }

@@ -989,8 +989,11 @@ fn build_bar_gossip_1m(req: &RunRequest<'_>) -> Result<Box<dyn DynScenario>, Str
     // O(active) steady state for nine steps, then a million-node engage
     // and exchange round. Engaging costs no window work (every node's
     // window is a row of one preallocated slab, zero until written), and
-    // a fresh initiator's exchange reads no partner row, so that round
-    // is dominated by the 1M-pair plan, shuffle and apply. Move the
+    // a fresh initiator's exchange reads no partner row — nor its own:
+    // its balanced check, push wish and push check are tests of its
+    // occupancy bit, in a 128 KB set that stays in cache. What remains
+    // of that round is the 1M-pair shuffle, the responder counters and
+    // the plan fill. Move the
     // burst earlier (e.g. --param arrival=burst:5:990000) to land the
     // crowd inside the measured metric window instead; each earlier
     // round is another full-crowd round of wall-clock.

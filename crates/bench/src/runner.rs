@@ -343,6 +343,24 @@ pub fn parse_args(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag {other:?}\n{USAGE}")),
         }
     }
+    if opts.sweep == "fraction" {
+        // x is the attacker fraction: the attack plans would clamp a
+        // value outside [0, 1] and print it under the unclamped x.
+        let unit = 0.0..=1.0;
+        if let Some((lo, hi, _)) = opts.grid {
+            if !unit.contains(&lo) || !unit.contains(&hi) {
+                return Err(format!(
+                    "--fraction-grid bounds {lo}:{hi} lie outside [0, 1], \
+                     the attacker fraction's range"
+                ));
+            }
+        }
+        if let Some(x) = opts.x_values.iter().flatten().find(|x| !unit.contains(*x)) {
+            return Err(format!(
+                "x value {x} lies outside [0, 1], the attacker fraction's range"
+            ));
+        }
+    }
     Ok(opts)
 }
 
@@ -1449,6 +1467,39 @@ mod tests {
             let err = trade_with(&["--x-values", xs]).unwrap_err();
             assert!(err.contains("bad x value"), "{xs}: {err}");
         }
+    }
+
+    #[test]
+    fn fraction_x_values_outside_the_unit_interval_are_rejected() {
+        for xs in ["2", "-1", "0,0.5,1.01", "-0.001"] {
+            let err = trade_with(&["--x-values", xs]).unwrap_err();
+            assert!(err.contains("outside [0, 1]"), "{xs}: {err}");
+            // The check runs after every flag, so `--sweep` may follow.
+            let err = trade_with(&["--x-values", xs, "--sweep", "fraction"]).unwrap_err();
+            assert!(err.contains("outside [0, 1]"), "{xs}: {err}");
+        }
+        for grid in ["0:2", "-1:1", "-0.5:0.5:3", "1.5:2"] {
+            let err = trade_with(&["--fraction-grid", grid]).unwrap_err();
+            assert!(err.contains("outside [0, 1]"), "{grid}: {err}");
+        }
+        // The interval's ends are attacker fractions too.
+        let opts = parse_args(&args(&["--x-values", "0,1", "--fraction-grid", "0:1"])).unwrap();
+        assert_eq!(opts.x_values, Some(vec![0.0, 1.0]));
+    }
+
+    #[test]
+    fn other_sweeps_accept_x_values_outside_the_unit_interval() {
+        let opts = parse_args(&args(&[
+            "--sweep",
+            "rare_holders",
+            "--x-values",
+            "1,2,3,4,6,8",
+            "--fraction-grid",
+            "-1:8",
+        ]))
+        .unwrap();
+        assert_eq!(opts.x_values, Some(vec![1.0, 2.0, 3.0, 4.0, 6.0, 8.0]));
+        assert_eq!(opts.grid, Some((-1.0, 8.0, None)));
     }
 
     #[test]

@@ -3,7 +3,8 @@
 //! The paper notes that the trade lotus-eater attack "does require enough
 //! bandwidth at each attacking node to satiate multiple nodes every round
 //! while the crash attack requires essentially no bandwidth". To make that
-//! comparison measurable, simulators meter every transfer by message class.
+//! comparison measurable, simulators meter every transfer by message class,
+//! at the sender: what an attack costs is what its nodes upload.
 
 use crate::NodeId;
 
@@ -31,21 +32,21 @@ impl MsgClass {
     }
 }
 
-/// Upload/download meter over `n` nodes.
+/// Upload meter over `n` nodes.
 ///
 /// ```
 /// use netsim::bandwidth::{BandwidthMeter, MsgClass};
 /// use netsim::NodeId;
 ///
 /// let mut m = BandwidthMeter::new(2);
-/// m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 3);
+/// m.upload(NodeId(0), MsgClass::Payload, 3);
 /// assert_eq!(m.uploaded(NodeId(0)), 3);
-/// assert_eq!(m.downloaded(NodeId(1)), 3);
+/// assert_eq!(m.uploaded_class(NodeId(0), MsgClass::Payload), 3);
+/// assert_eq!(m.uploaded(NodeId(1)), 0);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BandwidthMeter {
     up: Vec<[u64; 3]>,
-    down: Vec<[u64; 3]>,
 }
 
 impl BandwidthMeter {
@@ -53,14 +54,12 @@ impl BandwidthMeter {
     pub fn new(n: u32) -> Self {
         BandwidthMeter {
             up: vec![[0; 3]; n as usize],
-            down: vec![[0; 3]; n as usize],
         }
     }
 
-    /// Record `units` of traffic from `src` to `dst`.
-    pub fn transfer(&mut self, src: NodeId, dst: NodeId, class: MsgClass, units: u64) {
-        self.up[src.index()][class.idx()] += units;
-        self.down[dst.index()][class.idx()] += units;
+    /// Record `units` of traffic uploaded by `node`.
+    pub fn upload(&mut self, node: NodeId, class: MsgClass, units: u64) {
+        self.up[node.index()][class.idx()] += units;
     }
 
     /// Total units uploaded by `node` across all classes.
@@ -68,19 +67,9 @@ impl BandwidthMeter {
         self.up[node.index()].iter().sum()
     }
 
-    /// Total units downloaded by `node` across all classes.
-    pub fn downloaded(&self, node: NodeId) -> u64 {
-        self.down[node.index()].iter().sum()
-    }
-
     /// Units uploaded by `node` in one class.
     pub fn uploaded_class(&self, node: NodeId, class: MsgClass) -> u64 {
         self.up[node.index()][class.idx()]
-    }
-
-    /// Units downloaded by `node` in one class.
-    pub fn downloaded_class(&self, node: NodeId, class: MsgClass) -> u64 {
-        self.down[node.index()][class.idx()]
     }
 
     /// System-wide uploads in one class.
@@ -120,9 +109,7 @@ impl BandwidthMeter {
 
     /// Reset all counters (e.g. at the end of a warm-up phase).
     pub fn reset(&mut self) {
-        for row in self.up.iter_mut().chain(self.down.iter_mut()) {
-            *row = [0; 3];
-        }
+        self.up.fill([0; 3]);
     }
 }
 
@@ -131,35 +118,36 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transfers_accumulate_by_direction() {
+    fn uploads_accumulate_by_node_and_class() {
         let mut m = BandwidthMeter::new(3);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 5);
-        m.transfer(NodeId(0), NodeId(2), MsgClass::Junk, 2);
-        m.transfer(NodeId(1), NodeId(0), MsgClass::Payload, 1);
+        m.upload(NodeId(0), MsgClass::Payload, 5);
+        m.upload(NodeId(0), MsgClass::Junk, 2);
+        m.upload(NodeId(1), MsgClass::Payload, 1);
 
         assert_eq!(m.uploaded(NodeId(0)), 7);
-        assert_eq!(m.downloaded(NodeId(0)), 1);
+        assert_eq!(m.uploaded(NodeId(1)), 1);
+        assert_eq!(m.uploaded(NodeId(2)), 0);
         assert_eq!(m.uploaded_class(NodeId(0), MsgClass::Junk), 2);
-        assert_eq!(m.downloaded_class(NodeId(2), MsgClass::Junk), 2);
+        assert_eq!(m.uploaded_class(NodeId(1), MsgClass::Junk), 0);
     }
 
     #[test]
-    fn uploads_equal_downloads_globally() {
+    fn totals_sum_uploads_over_nodes() {
         let mut m = BandwidthMeter::new(4);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 5);
-        m.transfer(NodeId(2), NodeId(3), MsgClass::Control, 4);
+        m.upload(NodeId(0), MsgClass::Payload, 5);
+        m.upload(NodeId(2), MsgClass::Control, 4);
         let up: u64 = (0..4).map(|i| m.uploaded(NodeId(i))).sum();
-        let down: u64 = (0..4).map(|i| m.downloaded(NodeId(i))).sum();
-        assert_eq!(up, down);
+        assert_eq!(up, m.total());
         assert_eq!(m.total(), 9);
+        assert_eq!(m.total_class(MsgClass::Control), 4);
     }
 
     #[test]
     fn junk_fraction_and_reset() {
         let mut m = BandwidthMeter::new(2);
         assert_eq!(m.junk_fraction(), 0.0);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 3);
-        m.transfer(NodeId(1), NodeId(0), MsgClass::Junk, 1);
+        m.upload(NodeId(0), MsgClass::Payload, 3);
+        m.upload(NodeId(1), MsgClass::Junk, 1);
         assert!((m.junk_fraction() - 0.25).abs() < 1e-12);
         m.reset();
         assert_eq!(m.total(), 0);
@@ -168,8 +156,8 @@ mod tests {
     #[test]
     fn mean_uploaded_subset() {
         let mut m = BandwidthMeter::new(3);
-        m.transfer(NodeId(0), NodeId(1), MsgClass::Payload, 10);
-        m.transfer(NodeId(2), NodeId(1), MsgClass::Payload, 2);
+        m.upload(NodeId(0), MsgClass::Payload, 10);
+        m.upload(NodeId(2), MsgClass::Payload, 2);
         let mean = m.mean_uploaded([NodeId(0), NodeId(2)]);
         assert!((mean - 6.0).abs() < 1e-12);
         assert_eq!(m.mean_uploaded([]), 0.0);
